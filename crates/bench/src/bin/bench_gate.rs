@@ -39,11 +39,14 @@ use hhpim_isa::{MemSelect, ModuleMask, PimInstruction};
 use hhpim_nn::TinyMlModel;
 use hhpim_pim::{MachineConfig, PimMachine};
 use hhpim_sim::SimDuration;
+use hhpim_workload::json::{quote, ParseError, Reader};
 use hhpim_workload::{LoadTrace, Scenario, ScenarioParams};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// Version of the gate-file layout, written as its `schema` field.
+const GATE_SCHEMA: u32 = 1;
 /// Relative tolerance for the deterministic energy entries.
 const ENERGY_TOLERANCE: f64 = 0.02;
 /// Default timing regression threshold (the CI contract: >20 % fails).
@@ -761,17 +764,17 @@ fn cmd_inject(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-// ------------------------------------------------------- JSON (no deps)
+// ------------------------------------------------------------------ JSON
 
 fn format_json(file: &GateFile) -> String {
     let section = |map: &BTreeMap<String, f64>| -> String {
         map.iter()
-            .map(|(k, v)| format!("    \"{k}\": {v:?}"))
+            .map(|(k, v)| format!("    {}: {v:?}", quote(k)))
             .collect::<Vec<_>>()
             .join(",\n")
     };
     format!(
-        "{{\n  \"schema\": 1,\n  \"calibration_ns\": {:?},\n  \"benches\": {{\n{}\n  }},\n  \"energies\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"schema\": {GATE_SCHEMA},\n  \"calibration_ns\": {:?},\n  \"benches\": {{\n{}\n  }},\n  \"energies\": {{\n{}\n  }}\n}}\n",
         file.calibration_ns,
         section(&file.benches),
         section(&file.energies)
@@ -783,138 +786,37 @@ fn read_gate_file(path: &str) -> Result<GateFile, String> {
     parse_gate_file(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-/// Minimal JSON reader for the gate-file shape: one object of numbers
-/// and flat number-valued sub-objects. Unknown keys are ignored.
+/// Reads the gate-file shape: one object of numbers and flat
+/// number-valued sub-objects. Unknown keys are ignored.
 fn parse_gate_file(text: &str) -> Result<GateFile, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
     let mut file = GateFile::default();
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.string()?;
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "calibration_ns" => file.calibration_ns = p.number()?,
-            "benches" => file.benches = p.number_map()?,
-            "energies" => file.energies = p.number_map()?,
-            _ => p.skip_value()?,
-        }
-        p.skip_ws();
-        if !p.eat(b',') {
-            p.expect(b'}')?;
-            break;
-        }
-    }
+    Reader::new(text.as_bytes())
+        .object(|r, key| {
+            match key {
+                "schema" => {
+                    let schema = r.int::<u32>()?;
+                    if schema != GATE_SCHEMA {
+                        return Err(r.error(format!("unsupported schema {schema}")));
+                    }
+                }
+                "calibration_ns" => file.calibration_ns = r.f64()?,
+                "benches" => file.benches = number_map(r)?,
+                "energies" => file.energies = number_map(r)?,
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
     Ok(file)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string")?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return Err("escape sequences are not supported".into());
-            }
-            self.pos += 1;
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn number_map(&mut self) -> Result<BTreeMap<String, f64>, String> {
-        let mut map = BTreeMap::new();
-        self.expect(b'{')?;
-        loop {
-            self.skip_ws();
-            if self.eat(b'}') {
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.number()?);
-            self.skip_ws();
-            if !self.eat(b',') {
-                self.expect(b'}')?;
-                break;
-            }
-        }
-        Ok(map)
-    }
-
-    fn skip_value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => {
-                let _ = self.number_map()?;
-                Ok(())
-            }
-            Some(b'"') => self.string().map(|_| ()),
-            _ => self.number().map(|_| ()),
-        }
-    }
+fn number_map(r: &mut Reader) -> Result<BTreeMap<String, f64>, ParseError> {
+    let mut map = BTreeMap::new();
+    r.object(|r, key| {
+        map.insert(key.to_string(), r.f64()?);
+        Ok(())
+    })?;
+    Ok(map)
 }
 
 #[cfg(test)]
@@ -947,6 +849,44 @@ mod tests {
         let parsed = parse_gate_file(text).unwrap();
         assert_eq!(parsed.calibration_ns, 5.0);
         assert_eq!(parsed.energies["x"], 1.0);
+    }
+
+    const BASELINE: &str = include_str!("../../../../BENCH_baseline.json");
+
+    #[test]
+    fn checked_in_baseline_round_trips_byte_identically() {
+        let parsed = parse_gate_file(BASELINE).unwrap();
+        assert_eq!(parsed.benches.len(), 20);
+        assert_eq!(parsed.energies.len(), 7);
+        assert_eq!(format_json(&parsed), BASELINE);
+    }
+
+    #[test]
+    fn out_of_range_schema_is_an_error() {
+        // 2^32 + 1 must not wrap to schema 1.
+        let text = BASELINE.replace("\"schema\": 1", "\"schema\": 4294967297");
+        assert!(parse_gate_file(&text).is_err());
+        let text = BASELINE.replace("\"schema\": 1", "\"schema\": 2");
+        assert!(parse_gate_file(&text).is_err());
+    }
+
+    /// Every prefix of the baseline, and every substitution of one byte
+    /// by one from a fixed set of JSON-significant bytes, parses or
+    /// fails with an error; none panics.
+    #[test]
+    fn mutated_baselines_never_panic() {
+        for end in 0..BASELINE.len() {
+            let _ = parse_gate_file(&BASELINE[..end]);
+        }
+        let mut bytes = BASELINE.as_bytes().to_vec();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for &b in b"-09.e,]}[\" " {
+                bytes[i] = b;
+                let _ = parse_gate_file(std::str::from_utf8(&bytes).unwrap());
+            }
+            bytes[i] = original;
+        }
     }
 
     #[test]

@@ -27,14 +27,14 @@
 //!   canonical string. A file is served only when its embedded key
 //!   matches the requested one byte for byte, so a hash collision or
 //!   a renamed file can never smuggle in a stale table.
-//! * **Versioned, checksummed JSON.** The hand-rolled schema (the
-//!   `bench_gate` / [`hhpim_workload::RecordedTrace`] idiom — no new
-//!   dependencies) leads with a `version` field and carries an FNV-1a
-//!   checksum over the payload's exact bit patterns. Floats are
-//!   written with `{:?}` shortest round-trip formatting, so a load is
-//!   bit-identical to the build that was saved; any torn, truncated
-//!   or bit-flipped file surfaces as a typed [`ArtifactError`] and
-//!   the store falls through to a rebuild.
+//! * **Versioned, checksummed JSON.** The schema (read through the
+//!   shared [`hhpim_workload::json`] reader — no new dependencies)
+//!   leads with a `version` field and carries an FNV-1a checksum over
+//!   the payload's exact bit patterns. Floats are written with `{:?}`
+//!   shortest round-trip formatting, so a load is bit-identical to the
+//!   build that was saved; any torn, truncated or bit-flipped file
+//!   surfaces as a typed [`ArtifactError`] and the store falls through
+//!   to a rebuild.
 //! * **Atomic writes.** [`ArtifactStore::save_lut`] and
 //!   [`SweepArtifact::save`] write to a unique temp file in the target
 //!   directory and `rename` into place, so concurrent writers (the
@@ -90,6 +90,7 @@ use crate::store::PlacementKey;
 use hhpim_mem::Energy;
 use hhpim_nn::TinyMlModel;
 use hhpim_sim::SimDuration;
+use hhpim_workload::json::{quote, ParseError, Reader};
 use hhpim_workload::Scenario;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -185,6 +186,15 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
+impl From<ParseError> for ArtifactError {
+    fn from(e: ParseError) -> Self {
+        ArtifactError::Parse {
+            message: e.message,
+            offset: e.offset,
+        }
+    }
+}
+
 // --------------------------------------------------------------------
 // FNV-1a: the no-dependency hash behind file names and checksums.
 // --------------------------------------------------------------------
@@ -255,26 +265,9 @@ fn sweep_digest(shard_index: usize, shard_count: usize, cells: &[SavingsCell]) -
 }
 
 // --------------------------------------------------------------------
-// Serialization: hand-rolled JSON, floats via shortest round-trip.
+// Serialization: floats via shortest round-trip, read back through
+// `hhpim_workload::json`.
 // --------------------------------------------------------------------
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Renders `key`'s LUT into the versioned on-disk JSON form. Floats
 /// use `{:?}` (shortest round-trip), so parsing the text back yields
@@ -285,7 +278,7 @@ pub fn lut_to_json(key: &PlacementKey, lut: &AllocationLut) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"format\": \"{LUT_FORMAT}\",\n"));
     out.push_str(&format!("  \"version\": {ARTIFACT_FORMAT_VERSION},\n"));
-    out.push_str(&format!("  \"key\": {},\n", escape_json(&canonical)));
+    out.push_str(&format!("  \"key\": {},\n", quote(&canonical)));
     out.push_str(&format!(
         "  \"checksum\": {},\n",
         lut_digest(&canonical, lut)
@@ -338,65 +331,52 @@ pub fn lut_from_json(
     expected_key: &PlacementKey,
     text: &str,
 ) -> Result<AllocationLut, ArtifactError> {
-    let mut p = Parser::new(text);
+    let mut r = Reader::new(text.as_bytes());
     let mut format: Option<String> = None;
     let mut version: Option<u32> = None;
     let mut key: Option<String> = None;
     let mut checksum: Option<u64> = None;
     let mut t_constraints: Option<Vec<SimDuration>> = None;
     let mut entries: Option<Vec<Option<OptimalPlacement>>> = None;
-
-    p.expect(b'{')?;
-    loop {
-        let field = p.parse_string()?;
-        p.expect(b':')?;
-        match field.as_str() {
-            "format" => format = Some(p.parse_string()?),
-            "version" => version = Some(p.parse_u64()? as u32),
-            "key" => key = Some(p.parse_string()?),
-            "checksum" => checksum = Some(p.parse_u64()?),
+    r.object(|r, field| {
+        match field {
+            "format" => format = Some(r.string()?),
+            "version" => version = Some(r.int::<u32>()?),
+            "key" => key = Some(r.string()?),
+            "checksum" => checksum = Some(r.int::<u64>()?),
             "t_constraints_ps" => {
                 let mut out = Vec::new();
-                p.parse_array(|p| {
-                    out.push(SimDuration::from_ps(p.parse_u64()?));
+                r.array(|r| {
+                    out.push(SimDuration::from_ps(r.int::<u64>()?));
                     Ok(())
                 })?;
                 t_constraints = Some(out);
             }
             "entries" => {
                 let mut out = Vec::new();
-                p.parse_array(|p| {
-                    out.push(p.parse_lut_entry()?);
+                r.array(|r| {
+                    out.push(lut_entry(r)?);
                     Ok(())
                 })?;
                 entries = Some(out);
             }
-            other => return Err(p.fail(format!("unknown field `{other}`"))),
+            other => return Err(r.error(format!("unknown field `{other}`"))),
         }
-        match p.peek() {
-            Some(b',') => {
-                p.pos += 1;
-            }
-            Some(b'}') => {
-                p.pos += 1;
-                break;
-            }
-            _ => return Err(p.fail("expected `,` or `}`")),
-        }
-    }
-    p.expect_end()?;
+        Ok(())
+    })?;
+    r.end()?;
 
     if format.as_deref() != Some(LUT_FORMAT) {
-        return Err(p.fail(format!("not a `{LUT_FORMAT}` file")));
+        return Err(r.error(format!("not a `{LUT_FORMAT}` file")).into());
     }
-    let found = version.ok_or_else(|| p.fail("missing `version`"))?;
+    let found = version.ok_or_else(|| r.error("missing `version`"))?;
     if found != ARTIFACT_FORMAT_VERSION {
         return Err(ArtifactError::Version {
             found,
             supported: ARTIFACT_FORMAT_VERSION,
         });
     }
-    let key = key.ok_or_else(|| p.fail("missing `key`"))?;
+    let key = key.ok_or_else(|| r.error("missing `key`"))?;
     let expected = expected_key.canonical();
     if key != expected {
         return Err(ArtifactError::KeyMismatch {
@@ -404,15 +384,17 @@ pub fn lut_from_json(
             found: key,
         });
     }
-    let recorded = checksum.ok_or_else(|| p.fail("missing `checksum`"))?;
-    let t_constraints = t_constraints.ok_or_else(|| p.fail("missing `t_constraints_ps`"))?;
-    let entries = entries.ok_or_else(|| p.fail("missing `entries`"))?;
+    let recorded = checksum.ok_or_else(|| r.error("missing `checksum`"))?;
+    let t_constraints = t_constraints.ok_or_else(|| r.error("missing `t_constraints_ps`"))?;
+    let entries = entries.ok_or_else(|| r.error("missing `entries`"))?;
     if entries.len() != t_constraints.len() {
-        return Err(p.fail(format!(
-            "{} entries but {} t_constraints",
-            entries.len(),
-            t_constraints.len()
-        )));
+        return Err(r
+            .error(format!(
+                "{} entries but {} t_constraints",
+                entries.len(),
+                t_constraints.len()
+            ))
+            .into());
     }
     let lut = AllocationLut::from_parts(entries, t_constraints);
     let computed = lut_digest(&key, &lut);
@@ -621,7 +603,7 @@ impl SweepArtifact {
             out.push_str(&format!(
                 "    [{}, {}, {:?}, {:?}, {:?}]",
                 cell.scenario.case_number(),
-                escape_json(&cell.model.to_string()),
+                quote(&cell.model.to_string()),
                 cell.vs_baseline,
                 cell.vs_heterogeneous,
                 cell.vs_hybrid
@@ -652,80 +634,67 @@ impl SweepArtifact {
     /// [`ArtifactError::Parse`] / [`ArtifactError::Version`] /
     /// [`ArtifactError::Checksum`].
     pub fn from_json(text: &str) -> Result<Self, ArtifactError> {
-        let mut p = Parser::new(text);
+        let mut r = Reader::new(text.as_bytes());
         let mut format: Option<String> = None;
         let mut version: Option<u32> = None;
         let mut shard: Option<(usize, usize)> = None;
         let mut checksum: Option<u64> = None;
         let mut cells: Option<Vec<SavingsCell>> = None;
         let mut stats: Option<SweepStats> = None;
-
-        p.expect(b'{')?;
-        loop {
-            let field = p.parse_string()?;
-            p.expect(b':')?;
-            match field.as_str() {
-                "format" => format = Some(p.parse_string()?),
-                "version" => version = Some(p.parse_u64()? as u32),
+        r.object(|r, field| {
+            match field {
+                "format" => format = Some(r.string()?),
+                "version" => version = Some(r.int::<u32>()?),
                 "shard" => {
-                    p.expect(b'[')?;
-                    let index = p.parse_u64()? as usize;
-                    p.expect(b',')?;
-                    let count = p.parse_u64()? as usize;
-                    p.expect(b']')?;
+                    r.expect(b'[')?;
+                    let index = r.int::<usize>()?;
+                    r.expect(b',')?;
+                    let count = r.int::<usize>()?;
+                    r.expect(b']')?;
                     shard = Some((index, count));
                 }
-                "checksum" => checksum = Some(p.parse_u64()?),
+                "checksum" => checksum = Some(r.int::<u64>()?),
                 "cells" => {
                     let mut out = Vec::new();
-                    p.parse_array(|p| {
-                        out.push(p.parse_sweep_cell()?);
+                    r.array(|r| {
+                        out.push(sweep_cell(r)?);
                         Ok(())
                     })?;
                     cells = Some(out);
                 }
                 "stats" => {
-                    p.expect(b'[')?;
-                    let lut_builds = p.parse_u64()?;
-                    p.expect(b',')?;
-                    let disk_hits = p.parse_u64()?;
-                    p.expect(b',')?;
-                    let disk_writes = p.parse_u64()?;
-                    p.expect(b']')?;
+                    r.expect(b'[')?;
+                    let lut_builds = r.int::<u64>()?;
+                    r.expect(b',')?;
+                    let disk_hits = r.int::<u64>()?;
+                    r.expect(b',')?;
+                    let disk_writes = r.int::<u64>()?;
+                    r.expect(b']')?;
                     stats = Some(SweepStats {
                         lut_builds,
                         disk_hits,
                         disk_writes,
                     });
                 }
-                other => return Err(p.fail(format!("unknown field `{other}`"))),
+                other => return Err(r.error(format!("unknown field `{other}`"))),
             }
-            match p.peek() {
-                Some(b',') => {
-                    p.pos += 1;
-                }
-                Some(b'}') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => return Err(p.fail("expected `,` or `}`")),
-            }
-        }
-        p.expect_end()?;
+            Ok(())
+        })?;
+        r.end()?;
 
         if format.as_deref() != Some(SWEEP_FORMAT) {
-            return Err(p.fail(format!("not a `{SWEEP_FORMAT}` file")));
+            return Err(r.error(format!("not a `{SWEEP_FORMAT}` file")).into());
         }
-        let found = version.ok_or_else(|| p.fail("missing `version`"))?;
+        let found = version.ok_or_else(|| r.error("missing `version`"))?;
         if found != ARTIFACT_FORMAT_VERSION {
             return Err(ArtifactError::Version {
                 found,
                 supported: ARTIFACT_FORMAT_VERSION,
             });
         }
-        let (shard_index, shard_count) = shard.ok_or_else(|| p.fail("missing `shard`"))?;
-        let recorded = checksum.ok_or_else(|| p.fail("missing `checksum`"))?;
-        let cells = cells.ok_or_else(|| p.fail("missing `cells`"))?;
+        let (shard_index, shard_count) = shard.ok_or_else(|| r.error("missing `shard`"))?;
+        let recorded = checksum.ok_or_else(|| r.error("missing `checksum`"))?;
+        let cells = cells.ok_or_else(|| r.error("missing `cells`"))?;
         let computed = sweep_digest(shard_index, shard_count, &cells);
         if computed != recorded {
             return Err(ArtifactError::Checksum {
@@ -827,236 +796,64 @@ impl SweepArtifact {
 }
 
 // --------------------------------------------------------------------
-// The minimal JSON reader (the `RecordedTrace` / `bench_gate` idiom).
+// Schema pieces read through `hhpim_workload::json`.
 // --------------------------------------------------------------------
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// `null` or `[hp_mram, hp_sram, lp_mram, lp_sram, energy_pj,
+/// task_time_ps]`. A negative or non-finite energy is a parse error,
+/// caught before [`Energy::from_pj`] (which asserts both) and before
+/// the checksum is compared.
+fn lut_entry(r: &mut Reader) -> Result<Option<OptimalPlacement>, ParseError> {
+    if r.literal("null") {
+        return Ok(None);
+    }
+    r.expect(b'[')?;
+    let mut counts = [0usize; 4];
+    for slot in &mut counts {
+        *slot = r.int::<usize>()?;
+        r.expect(b',')?;
+    }
+    let energy_pj = r.f64()?;
+    if !energy_pj.is_finite() || energy_pj < 0.0 {
+        return Err(r.error(format!("energy {energy_pj} pJ is negative or not finite")));
+    }
+    r.expect(b',')?;
+    let task_time_ps = r.int::<u64>()?;
+    r.expect(b']')?;
+    Ok(Some(OptimalPlacement {
+        placement: Placement::from_counts(counts),
+        energy_per_task: Energy::from_pj(energy_pj),
+        task_time: SimDuration::from_ps(task_time_ps),
+    }))
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn fail(&self, message: impl Into<String>) -> ArtifactError {
-        ArtifactError::Parse {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), ArtifactError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.fail(format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn expect_end(&mut self) -> Result<(), ArtifactError> {
-        if self.peek().is_some() {
-            return Err(self.fail("trailing content after artifact"));
-        }
-        Ok(())
-    }
-
-    fn parse_string(&mut self) -> Result<String, ArtifactError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.fail("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match hex {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return Err(self.fail("bad \\u escape")),
-                            }
-                        }
-                        _ => return Err(self.fail("unknown escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through intact.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.fail("invalid UTF-8 in string")),
-                    }
-                }
-            }
-        }
-    }
-
-    /// The raw text of the next number token.
-    fn number_token(&mut self) -> Result<&'a str, ArtifactError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b"+-0123456789.eE".contains(b))
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(self.fail("expected a number"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.fail("invalid number bytes"))
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, ArtifactError> {
-        let token = self.number_token()?;
-        token
-            .parse::<u64>()
-            .map_err(|_| self.fail(format!("`{token}` is not an unsigned integer")))
-    }
-
-    fn parse_usize(&mut self) -> Result<usize, ArtifactError> {
-        let token = self.number_token()?;
-        token
-            .parse::<usize>()
-            .map_err(|_| self.fail(format!("`{token}` is not an unsigned integer")))
-    }
-
-    fn parse_f64(&mut self) -> Result<f64, ArtifactError> {
-        let token = self.number_token()?;
-        token
-            .parse::<f64>()
-            .map_err(|_| self.fail(format!("`{token}` is not a number")))
-    }
-
-    /// `[elem, elem, ...]` with `elem` delegated to `item` (which must
-    /// consume exactly one element).
-    fn parse_array(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<(), ArtifactError>,
-    ) -> Result<(), ArtifactError> {
-        self.expect(b'[')?;
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            item(self)?;
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.fail("expected `,` or `]`")),
-            }
-        }
-    }
-
-    /// `null` or `[hp_mram, hp_sram, lp_mram, lp_sram, energy_pj,
-    /// task_time_ps]`.
-    fn parse_lut_entry(&mut self) -> Result<Option<OptimalPlacement>, ArtifactError> {
-        if self.peek() == Some(b'n') {
-            let lit = self.bytes.get(self.pos..self.pos + 4);
-            if lit != Some(b"null") {
-                return Err(self.fail("expected `null` or `[`"));
-            }
-            self.pos += 4;
-            return Ok(None);
-        }
-        self.expect(b'[')?;
-        let mut counts = [0usize; 4];
-        for slot in &mut counts {
-            *slot = self.parse_usize()?;
-            self.expect(b',')?;
-        }
-        let energy_pj = self.parse_f64()?;
-        self.expect(b',')?;
-        let task_time_ps = self.parse_u64()?;
-        self.expect(b']')?;
-        Ok(Some(OptimalPlacement {
-            placement: Placement::from_counts(counts),
-            energy_per_task: Energy::from_pj(energy_pj),
-            task_time: SimDuration::from_ps(task_time_ps),
-        }))
-    }
-
-    /// `[case_number, "model", vs_baseline, vs_heterogeneous,
-    /// vs_hybrid]`.
-    fn parse_sweep_cell(&mut self) -> Result<SavingsCell, ArtifactError> {
-        self.expect(b'[')?;
-        let case = self.parse_usize()?;
-        let scenario = *Scenario::ALL
-            .get(case.wrapping_sub(1))
-            .ok_or_else(|| self.fail(format!("case {case} is out of range 1..=6")))?;
-        self.expect(b',')?;
-        let name = self.parse_string()?;
-        let model = *TinyMlModel::ALL
-            .iter()
-            .find(|m| m.to_string() == name)
-            .ok_or_else(|| self.fail(format!("unknown model `{name}`")))?;
-        self.expect(b',')?;
-        let vs_baseline = self.parse_f64()?;
-        self.expect(b',')?;
-        let vs_heterogeneous = self.parse_f64()?;
-        self.expect(b',')?;
-        let vs_hybrid = self.parse_f64()?;
-        self.expect(b']')?;
-        Ok(SavingsCell {
-            scenario,
-            model,
-            vs_baseline,
-            vs_heterogeneous,
-            vs_hybrid,
-        })
-    }
+/// `[case_number, "model", vs_baseline, vs_heterogeneous, vs_hybrid]`.
+fn sweep_cell(r: &mut Reader) -> Result<SavingsCell, ParseError> {
+    r.expect(b'[')?;
+    let case = r.int::<usize>()?;
+    let scenario = *Scenario::ALL
+        .get(case.wrapping_sub(1))
+        .ok_or_else(|| r.error(format!("case {case} is out of range 1..=6")))?;
+    r.expect(b',')?;
+    let name = r.string()?;
+    let model = *TinyMlModel::ALL
+        .iter()
+        .find(|m| m.to_string() == name)
+        .ok_or_else(|| r.error(format!("unknown model `{name}`")))?;
+    r.expect(b',')?;
+    let vs_baseline = r.f64()?;
+    r.expect(b',')?;
+    let vs_heterogeneous = r.f64()?;
+    r.expect(b',')?;
+    let vs_hybrid = r.f64()?;
+    r.expect(b']')?;
+    Ok(SavingsCell {
+        scenario,
+        model,
+        vs_baseline,
+        vs_heterogeneous,
+        vs_hybrid,
+    })
 }
 
 #[cfg(test)]
@@ -1108,6 +905,40 @@ mod tests {
                 supported: ARTIFACT_FORMAT_VERSION
             }
         );
+    }
+
+    #[test]
+    fn out_of_range_versions_are_parse_errors() {
+        // 2^32 + 1 must not wrap to version 1.
+        let wrapped = "\"version\": 4294967297";
+        let (key, lut) = fixture(120);
+        let lut_text = lut_to_json(&key, &lut).replace("\"version\": 1", wrapped);
+        assert!(matches!(
+            lut_from_json(&key, &lut_text),
+            Err(ArtifactError::Parse { .. })
+        ));
+        let sweep = SweepArtifact::new(0, 1, SavingsMatrix { cells: Vec::new() });
+        let sweep_text = sweep.to_json().replace("\"version\": 1", wrapped);
+        assert!(matches!(
+            SweepArtifact::from_json(&sweep_text),
+            Err(ArtifactError::Parse { .. })
+        ));
+    }
+
+    #[test]
+    fn negative_energy_is_a_parse_error_not_a_panic() {
+        let (key, lut) = fixture(120);
+        let text = lut_to_json(&key, &lut);
+        // `[hp_mram, hp_sram, lp_mram, lp_sram, energy, time]`: turn the
+        // space before the first entry's energy into a minus sign.
+        let entry = text.find("\n    [").unwrap();
+        let at = entry + text[entry..].match_indices(", ").nth(3).unwrap().0 + 1;
+        let mut doctored = text.clone();
+        doctored.replace_range(at..at + 1, "-");
+        assert!(matches!(
+            lut_from_json(&key, &doctored),
+            Err(ArtifactError::Parse { .. })
+        ));
     }
 
     #[test]

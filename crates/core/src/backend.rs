@@ -2,8 +2,8 @@
 //!
 //! The repo models the paper's machine twice — analytically
 //! ([`crate::CostModel`] + [`crate::Processor`], fast enough for DP
-//! sweeps) and structurally ([`hhpim_pim::PimMachine`] driven by the
-//! `hhpim_sim` event kernel, bit-accurate but slower). Before this
+//! sweeps) and structurally ([`hhpim_pim::PimMachine`] replaying a
+//! lowered [`TimeGraph`], bit-accurate but slower). Before this
 //! module each path produced its own report type with its own energy
 //! vocabulary, so results could not be compared apples-to-apples.
 //!
@@ -18,7 +18,7 @@
 //! | backend              | wraps                              | fidelity |
 //! |----------------------|------------------------------------|----------|
 //! | [`AnalyticBackend`]  | `Processor` + `CostModel`          | closed-form slice accounting |
-//! | [`CycleBackend`]     | `PimMachine` + `sim::Simulation`   | per-access timing/energy of the full multi-layer program |
+//! | [`CycleBackend`]     | `PimMachine` + `TimeGraph` replay  | per-access timing/energy of the full multi-layer program |
 //!
 //! Energy breakdowns, per-slice records, per-layer records, migration
 //! ledgers and deadline misses all compare directly: both backends
@@ -56,7 +56,7 @@ use crate::compile::{compile_model, CompileError, CompiledProgram, LayerOp, Weig
 use crate::cost::{CostModelError, CostParams};
 use crate::dp::OptimizerConfig;
 use crate::engine::{AnalyticRun, CycleRun, LayerAcc, ReplacementDecision, SliceOutcome};
-use crate::policy::{FixedHome, PlacementPolicy};
+use crate::policy::PlacementPolicy;
 use crate::runtime::{Processor, RuntimeConfig};
 use crate::space::{movement_legs, MovementLeg, Placement, StorageSpace};
 use crate::timegraph::TimeGraph;
@@ -226,15 +226,6 @@ impl ExecutionReport {
     /// Total energy over the trace.
     pub fn total_energy(&self) -> Energy {
         self.energy.total()
-    }
-
-    /// Mean energy per slice.
-    pub fn mean_slice_energy(&self) -> Energy {
-        if self.records.is_empty() {
-            Energy::ZERO
-        } else {
-            self.total_energy() / self.records.len() as f64
-        }
     }
 }
 
@@ -432,30 +423,6 @@ impl AnalyticBackend {
         })
     }
 
-    /// Builds the backend with explicit calibration knobs.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the model's weights do not fit the architecture.
-    #[deprecated(
-        note = "compose a session instead: `SessionBuilder::new().architecture(..).model(..)\
-                .cost_params(..).optimizer(..).build_analytic()`"
-    )]
-    pub fn with_params(
-        arch: Architecture,
-        model: TinyMlModel,
-        params: CostParams,
-        opt_config: OptimizerConfig,
-    ) -> Result<Self, BackendError> {
-        crate::session::SessionBuilder::new()
-            .architecture(arch)
-            .model(model)
-            .cost_params(params)
-            .optimizer(opt_config)
-            .build_analytic()
-            .map_err(crate::session::SessionError::into_backend)
-    }
-
     /// Builds the backend with an explicit [`PlacementPolicy`].
     ///
     /// # Errors
@@ -529,8 +496,8 @@ impl ExecutionBackend for AnalyticBackend {
 }
 
 /// The structural backend: executes whole multi-layer programs on the
-/// [`PimMachine`], driven slice-by-slice through the `hhpim_sim` event
-/// engine.
+/// [`PimMachine`], slice by slice, by replaying each placement's
+/// lowered [`TimeGraph`].
 ///
 /// Every inference task runs the model's complete PIM layer stack
 /// (lowered once into a [`CompiledProgram`]): convolutions and wide
@@ -611,55 +578,6 @@ impl CycleBackend {
     pub fn new(arch: Architecture, model: TinyMlModel) -> Result<Self, BackendError> {
         let processor = Processor::new(arch, model)?;
         Self::build(processor, model, None)
-    }
-
-    /// Builds the backend with an explicit home for the bit-exact head
-    /// (schedule layers still follow the placement).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the model does not fit the architecture or has no
-    /// machine-executable layer.
-    #[deprecated(
-        note = "compose a session instead: `SessionBuilder::new().architecture(..).model(..)\
-                .head_home(..).build_cycle()`"
-    )]
-    pub fn with_weight_home(
-        arch: Architecture,
-        model: TinyMlModel,
-        home: WeightHome,
-    ) -> Result<Self, BackendError> {
-        crate::session::SessionBuilder::new()
-            .architecture(arch)
-            .model(model)
-            .head_home(home)
-            .build_cycle()
-            .map_err(crate::session::SessionError::into_backend)
-    }
-
-    /// Builds the backend pinned to one placement forever: no LUT is
-    /// built, no migration traffic is issued. This is the fixed-home
-    /// comparison point the paper measures HH-PIM against.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `placement` is invalid for the architecture or the
-    /// model cannot be lowered.
-    #[deprecated(
-        note = "compose a session instead: `SessionBuilder::new().architecture(..).model(..)\
-                .policy(FixedHome::pinned(placement)).build_cycle()`"
-    )]
-    pub fn with_fixed_placement(
-        arch: Architecture,
-        model: TinyMlModel,
-        placement: Placement,
-    ) -> Result<Self, BackendError> {
-        crate::session::SessionBuilder::new()
-            .architecture(arch)
-            .model(model)
-            .policy(FixedHome::pinned(placement))
-            .build_cycle()
-            .map_err(crate::session::SessionError::into_backend)
     }
 
     /// Builds the backend with an explicit [`PlacementPolicy`] deciding

@@ -314,11 +314,6 @@ impl CostModel {
         tech_for(space.cluster(), space.kind()).static_power_for(banks * bank_bytes)
     }
 
-    /// Leakage power of the activation/IO SRAM buffers of `cluster`.
-    pub fn act_buffer_static_power(&self, cluster: ClusterClass) -> Power {
-        self.act_buffer_static_power_per_module(cluster) * self.arch.modules_in(cluster) as f64
-    }
-
     /// Leakage power of one module's activation/IO SRAM region.
     pub fn act_buffer_static_power_per_module(&self, cluster: ClusterClass) -> Power {
         if self.arch.modules_in(cluster) == 0 || self.arch.sram_per_module == 0 {

@@ -449,12 +449,6 @@ impl Engine {
         self.backends.iter().map(|b| b.kind()).collect()
     }
 
-    /// Consumes the engine, handing the backends back (used by the
-    /// batch facade, which borrows its session's backends per run).
-    pub fn into_backends(self) -> Vec<Box<dyn ExecutionBackend>> {
-        self.backends
-    }
-
     /// The per-slice task cap used to convert loads to task counts.
     pub fn max_tasks(&self) -> u32 {
         self.max_tasks
@@ -733,22 +727,6 @@ impl Engine {
         }
         while self.step_n(usize::MAX)? > 0 {}
         Ok(executed)
-    }
-
-    /// The old fixed-count form of [`Engine::pump`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::pump`].
-    #[deprecated(
-        note = "use `pump(source, Some(slices))`; `pump(source, None)` serves the source forever"
-    )]
-    pub fn pump_slices<F: FnMut(usize) -> f64>(
-        &mut self,
-        source: &mut StreamSource<F>,
-        slices: usize,
-    ) -> Result<(), EngineError> {
-        self.pump(source, Some(slices)).map(|_| ())
     }
 
     /// Drains the pending event buffer as an iterator (events already
@@ -1169,9 +1147,8 @@ mod tests {
         assert_eq!(engine.slices_executed(), 6);
         assert_eq!(engine.pending(), 0, "pump leaves the queue empty");
         assert_eq!(live.position(), 6);
-        // The deprecated fixed-count shim delegates to the same path.
-        #[allow(deprecated)]
-        engine.pump_slices(&mut live, 4).unwrap();
+        // A second budgeted pump continues from the source's position.
+        assert_eq!(engine.pump(&mut live, Some(4)).unwrap(), 4);
         assert_eq!(engine.slices_executed(), 10);
         let reports = engine.drain().unwrap();
         assert_eq!(reports[0].records.len(), 10);

@@ -2,21 +2,14 @@
 //! achieves over the comparison architectures across workload
 //! scenarios and models.
 //!
-//! The matrix is produced by [`crate::session::Session::sweep`]; the
-//! free functions in this module are deprecated shims kept for the old
-//! call sites. The shims delegate to the builder, which draws its LUTs
-//! from the process-local [`crate::PlacementStore`] — repeated shim
-//! calls with the same configuration pay the placement DP once per
-//! process, yet stay bit-identical to the builder path (regression
-//! tested).
+//! The matrix is produced by [`crate::session::Session::sweep`] and
+//! its whole-grid and sharded forms,
+//! [`sweep_all`](crate::session::Session::sweep_all) and
+//! [`sweep_shard`](crate::session::Session::sweep_shard).
 
 use crate::arch::Architecture;
-use crate::backend::ExecutionReport;
-use crate::cost::{CostModelError, CostParams};
-use crate::dp::OptimizerConfig;
-use crate::session::SessionBuilder;
 use hhpim_nn::TinyMlModel;
-use hhpim_workload::{Scenario, ScenarioParams};
+use hhpim_workload::Scenario;
 use std::fmt;
 
 /// Energy savings of HH-PIM for one `(scenario, model)` cell of Fig. 5.
@@ -101,14 +94,6 @@ impl SavingsMatrix {
         self.cells.iter().map(|c| c.versus(arch)).sum::<f64>() / self.cells.len() as f64
     }
 
-    /// Maximum savings versus `arch` across cells.
-    pub fn max_versus(&self, arch: Architecture) -> f64 {
-        self.cells
-            .iter()
-            .map(|c| c.versus(arch))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Mean savings for one scenario across models (Table VI rows).
     pub fn scenario_mean(&self, scenario: Scenario, arch: Architecture) -> f64 {
         let vals: Vec<f64> = self
@@ -125,84 +110,12 @@ impl SavingsMatrix {
     }
 }
 
-/// Experiment configuration for the savings matrix.
-#[deprecated(note = "set the equivalent `SessionBuilder` knobs instead: \
-            `scenario_params`, `cost_params`, `optimizer`")]
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ExperimentConfig {
-    /// Workload scenario shaping parameters.
-    pub scenario_params: ScenarioParams,
-    /// Cost-model calibration.
-    pub cost_params: CostParams,
-    /// Optimizer settings.
-    pub optimizer: OptimizerConfig,
-}
-
-#[allow(deprecated)]
-fn session_for(config: &ExperimentConfig) -> SessionBuilder {
-    SessionBuilder::new()
-        .scenario_params(config.scenario_params)
-        .cost_params(config.cost_params)
-        .optimizer(config.optimizer)
-}
-
-/// Runs one `(arch, model, scenario)` case and returns its trace report.
-///
-/// # Errors
-///
-/// Fails if the model does not fit the architecture.
-///
-/// # Panics
-///
-/// Panics on invalid scenario parameters, as the old API did.
-#[deprecated(
-    note = "compose a session instead: `SessionBuilder::new().architecture(..).model(..)\
-            .scenario(..).build()?.run()`"
-)]
-#[allow(deprecated)]
-pub fn run_case(
-    arch: Architecture,
-    model: TinyMlModel,
-    scenario: Scenario,
-    config: &ExperimentConfig,
-) -> Result<ExecutionReport, CostModelError> {
-    let mut session = session_for(config)
-        .architecture(arch)
-        .model(model)
-        .scenario(scenario)
-        .build()
-        .map_err(crate::session::SessionError::into_cost)?;
-    let mut artifacts = session.run().unwrap_or_else(|e| match e {
-        crate::session::SessionError::Trace(t) => panic!("invalid scenario params: {t}"),
-        other => panic!("analytic run cannot fail: {other}"),
-    });
-    Ok(artifacts.reports.remove(0))
-}
-
-/// Computes the full Fig. 5 savings matrix (6 scenarios × 3 models).
-///
-/// # Errors
-///
-/// Fails if any model does not fit any architecture.
-///
-/// # Panics
-///
-/// Panics on invalid scenario parameters, as the old API did.
-#[deprecated(note = "compose a session instead: `SessionBuilder::new()… .build()?.sweep_all()`")]
-#[allow(deprecated)]
-pub fn savings_matrix(config: &ExperimentConfig) -> Result<SavingsMatrix, CostModelError> {
-    let session = session_for(config)
-        .build()
-        .map_err(crate::session::SessionError::into_cost)?;
-    session.sweep_all().map_err(|e| match e {
-        crate::session::SessionError::Trace(t) => panic!("invalid scenario params: {t}"),
-        other => other.into_cost(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::OptimizerConfig;
+    use crate::session::SessionBuilder;
+    use hhpim_workload::ScenarioParams;
 
     fn quick_session() -> crate::session::Session {
         // Fewer slices + coarser DP keep the test fast while preserving
@@ -296,57 +209,6 @@ mod tests {
         let r = session.run().unwrap();
         assert_eq!(r.primary().records.len(), 12);
         assert!(r.primary().total_energy().as_mj() > 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_reproduce_the_builder_numbers_bit_for_bit() {
-        let config = ExperimentConfig {
-            scenario_params: ScenarioParams {
-                slices: 8,
-                ..ScenarioParams::default()
-            },
-            optimizer: OptimizerConfig {
-                time_buckets: 300,
-                ..OptimizerConfig::default()
-            },
-            ..ExperimentConfig::default()
-        };
-        let via_shim = savings_matrix(&config).unwrap();
-        let via_session = SessionBuilder::new()
-            .scenario_params(config.scenario_params)
-            .optimizer(config.optimizer)
-            .build()
-            .unwrap()
-            .sweep_all()
-            .unwrap();
-        assert_eq!(via_shim.cells.len(), via_session.cells.len());
-        for (a, b) in via_shim.cells.iter().zip(&via_session.cells) {
-            assert_eq!((a.scenario, a.model), (b.scenario, b.model));
-            assert_eq!(a.vs_baseline.to_bits(), b.vs_baseline.to_bits());
-            assert_eq!(a.vs_heterogeneous.to_bits(), b.vs_heterogeneous.to_bits());
-            assert_eq!(a.vs_hybrid.to_bits(), b.vs_hybrid.to_bits());
-        }
-
-        let shim_case = run_case(
-            Architecture::HhPim,
-            TinyMlModel::MobileNetV2,
-            Scenario::Random,
-            &config,
-        )
-        .unwrap();
-        let mut session = SessionBuilder::new()
-            .scenario(Scenario::Random)
-            .scenario_params(config.scenario_params)
-            .optimizer(config.optimizer)
-            .build()
-            .unwrap();
-        let case = session.run().unwrap();
-        assert_eq!(shim_case.records, case.primary().records);
-        assert_eq!(
-            shim_case.total_energy().as_pj().to_bits(),
-            case.primary().total_energy().as_pj().to_bits()
-        );
     }
 
     #[test]

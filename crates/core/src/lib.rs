@@ -115,8 +115,6 @@ pub use engine::{
     StreamSource, SubmitOutcome,
 };
 pub use error::{Error, Result};
-#[allow(deprecated)]
-pub use experiment::{run_case, savings_matrix, ExperimentConfig};
 pub use experiment::{SavingsCell, SavingsMatrix};
 pub use policy::{default_policy, FixedHome, GreedyBaseline, LutAdaptive, PlacementPolicy};
 pub use runtime::{Processor, RuntimeConfig};

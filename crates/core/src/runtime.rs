@@ -15,7 +15,7 @@ use crate::backend::{
 use crate::cost::{CostModel, CostModelError, CostParams, WorkloadProfile};
 use crate::dp::OptimizerConfig;
 use crate::engine::{AnalyticRun, ReplacementDecision, SliceOutcome};
-use crate::policy::{default_policy, FixedHome, PlacementPolicy};
+use crate::policy::{default_policy, PlacementPolicy};
 use crate::space::{movement_legs, MovementLeg, Placement, StorageSpace};
 use crate::store::PlacementStore;
 use hhpim_mem::{ClusterClass, Energy, MemKind, Power};
@@ -120,7 +120,6 @@ pub struct Processor {
     arch: ArchSpec,
     cost: CostModel,
     runtime: RuntimeConfig,
-    opt_config: OptimizerConfig,
     policy: Box<dyn PlacementPolicy>,
     /// Per-PIM-layer `(model index, label, MAC share)` of the built
     /// model, used to apportion the closed-form report layer-by-layer.
@@ -158,26 +157,6 @@ impl Processor {
         opt_config: OptimizerConfig,
     ) -> Result<Self, CostModelError> {
         Self::with_policy(arch, model, params, opt_config, default_policy(arch))
-    }
-
-    /// Builds a processor that never re-places: the allocation LUT is
-    /// skipped entirely (its DP solves are the expensive part of
-    /// construction) and [`Processor::placement_for_tasks`] always
-    /// answers the architecture's fixed placement. For pinned-placement
-    /// comparison points such as
-    /// [`crate::CycleBackend::with_fixed_placement`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the model's weights do not fit the architecture.
-    pub fn new_static(arch: Architecture, model: TinyMlModel) -> Result<Self, CostModelError> {
-        Self::with_policy(
-            arch,
-            model,
-            CostParams::default(),
-            OptimizerConfig::default(),
-            Box::new(FixedHome::arch_default()),
-        )
     }
 
     /// Builds a processor with an explicit [`PlacementPolicy`]: the
@@ -258,7 +237,6 @@ impl Processor {
             arch: spec,
             cost,
             runtime,
-            opt_config,
             policy,
             layer_shares,
         })
@@ -277,11 +255,6 @@ impl Processor {
     /// The runtime configuration (slice duration etc.).
     pub fn runtime(&self) -> &RuntimeConfig {
         &self.runtime
-    }
-
-    /// The optimizer configuration in use.
-    pub fn optimizer_config(&self) -> &OptimizerConfig {
-        &self.opt_config
     }
 
     /// The placement policy answering per-slice queries.

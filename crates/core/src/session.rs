@@ -2,10 +2,8 @@
 //! architecture, a model, a trace source, a placement policy and one or
 //! more execution backends, then run, compare or sweep.
 //!
-//! Before this module every scenario needed its own constructor
-//! (`AnalyticBackend::with_params`, `CycleBackend::with_weight_home`,
-//! `experiment::run_case`, …). [`SessionBuilder`] replaces that
-//! combinatorial surface with one typed pipeline:
+//! [`SessionBuilder`] puts every knob of the stack behind one typed
+//! pipeline instead of one constructor per combination:
 //!
 //! ```text
 //! SessionBuilder ──build()──▶ Session ──run()────▶ RunArtifacts
@@ -183,38 +181,6 @@ impl From<EngineError> for SessionError {
             EngineError::InvalidLoad { slice, load } => {
                 SessionError::Trace(TraceError::LoadOutOfRange { index: slice, load })
             }
-        }
-    }
-}
-
-impl SessionError {
-    /// Collapses into the backend-layer error the deprecated
-    /// constructors used to return.
-    ///
-    /// # Panics
-    ///
-    /// Panics on variants without a backend equivalent (none are
-    /// reachable from the single-backend build paths the shims use).
-    pub fn into_backend(self) -> BackendError {
-        match self {
-            SessionError::Backend(e) => e,
-            SessionError::Cost(e) => e.into(),
-            other => panic!("session error without backend equivalent: {other}"),
-        }
-    }
-
-    /// Collapses into the cost-model error the deprecated experiment
-    /// helpers used to return.
-    ///
-    /// # Panics
-    ///
-    /// Panics on variants without a cost-model equivalent (none are
-    /// reachable from the sweep paths the shims use).
-    pub fn into_cost(self) -> CostModelError {
-        match self {
-            SessionError::Cost(e) => e,
-            SessionError::Backend(BackendError::Cost(e)) => e,
-            other => panic!("session error without cost-model equivalent: {other}"),
         }
     }
 }
@@ -511,8 +477,7 @@ impl SessionBuilder {
     }
 
     /// Builds just the analytic backend — the escape hatch for code
-    /// that owns a single backend directly (and the delegation target
-    /// of the deprecated `AnalyticBackend::with_params`).
+    /// that owns a single backend directly.
     ///
     /// # Errors
     ///
@@ -522,9 +487,7 @@ impl SessionBuilder {
     }
 
     /// Builds just the cycle backend — the escape hatch for code that
-    /// owns a single backend directly (and the delegation target of
-    /// the deprecated `CycleBackend::with_weight_home` /
-    /// `with_fixed_placement`).
+    /// owns a single backend directly.
     ///
     /// # Errors
     ///
@@ -899,11 +862,10 @@ impl Session {
     /// its Table I placement mode (the session's policy selection
     /// applies to `run`/`compare`, not to this canonical comparison).
     ///
-    /// Uses the session's scenario, cost and optimizer parameters, so
-    /// it reproduces `experiment::savings_matrix` bit-for-bit when
-    /// given the full grid. Every cell draws its LUTs from the
-    /// session's [`PlacementStore`], so the DP runs once per distinct
-    /// `(architecture, model)` configuration for the whole sweep.
+    /// Uses the session's scenario, cost and optimizer parameters.
+    /// Every cell draws its LUTs from the session's [`PlacementStore`],
+    /// so the DP runs once per distinct `(architecture, model)`
+    /// configuration for the whole sweep.
     ///
     /// With [`SessionBuilder::threads`] above 1 the cells fan out
     /// across that many scoped worker threads sharing the warm store;
@@ -919,8 +881,8 @@ impl Session {
         scenarios: &[Scenario],
         models: &[TinyMlModel],
     ) -> Result<SavingsMatrix, SessionError> {
-        // Model-major cell order, as `experiment::savings_matrix`
-        // always produced.
+        // Model-major cell order, which `sweep_shard` partitions and
+        // `SweepArtifact::merge` reassembles.
         let pairs: Vec<(Scenario, TinyMlModel)> = models
             .iter()
             .flat_map(|&model| scenarios.iter().map(move |&scenario| (scenario, model)))

@@ -4,7 +4,7 @@
 //! The §III-B allocation LUT is precomputed once per (architecture,
 //! model, latency-constraint) configuration in the paper — but before
 //! this module every [`crate::Processor`] construction re-ran the DP,
-//! so a dual-backend session, a deprecated shim and every cell of a
+//! so a dual-backend session and every cell of a
 //! [`crate::session::Session::sweep`] each paid the full Algorithm 1+2
 //! cost again. A [`PlacementStore`] memoizes the built
 //! [`AllocationLut`]s (and the cheaper [`crate::FixedHome`] resolved
@@ -165,13 +165,6 @@ impl PlacementKey {
     /// caller supplied one, otherwise the architecture's default).
     pub fn for_fixed_home(cost: &CostModel, pinned: Option<Placement>) -> Self {
         Self::base(cost, KeyVariant::FixedHome(pinned))
-    }
-
-    /// Whether this key identifies a DP-built allocation LUT (the only
-    /// variant the [`crate::artifact`] disk tier persists — fixed-home
-    /// resolutions cost microseconds and are always rebuilt).
-    pub fn is_lut(&self) -> bool {
-        self.variant == KeyVariant::Lut
     }
 
     /// The key's canonical, **process-stable** encoding.
@@ -372,10 +365,9 @@ impl PlacementStore {
     }
 
     /// The process-local store: the default for every
-    /// [`crate::session::SessionBuilder`], [`crate::Processor`]
-    /// constructor and deprecated shim, so independently built
-    /// sessions in one process still share one DP run per distinct
-    /// configuration. Use [`crate::session::SessionBuilder::store`]
+    /// [`crate::session::SessionBuilder`] and [`crate::Processor`]
+    /// constructor, so independently built sessions in one process
+    /// still share one DP run per distinct configuration. Use [`crate::session::SessionBuilder::store`]
     /// with a private store when isolated [`CacheStats`] matter (e.g.
     /// in tests).
     pub fn global() -> Arc<PlacementStore> {

@@ -1,7 +1,7 @@
-//! # hhpim-sim — discrete-event simulation kernel
+//! # hhpim-sim — simulated time and busy-until resources
 //!
-//! The timing substrate for the HH-PIM reproduction (DAC 2025): a small,
-//! deterministic discrete-event kernel with picosecond resolution.
+//! The timing substrate for the HH-PIM reproduction (DAC 2025): exact,
+//! deterministic time keeping with picosecond resolution.
 //!
 //! The paper evaluates its architecture with an RTL design prototyped on
 //! an FPGA; this crate provides the equivalent *measurement instrument*
@@ -10,16 +10,12 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] / [`Frequency`] / [`Clock`] — exact
 //!   integer time keeping and clock-domain conversion ([`time`]).
-//! * [`EventQueue`] — deterministic `(time, seq)`-ordered events with
-//!   cancellation ([`event`]).
-//! * [`Simulation`] — a run loop with horizons and step budgets
-//!   ([`engine`]).
-//! * [`BusyResource`] / [`ResourcePool`] — busy-until port and
-//!   server-pool models ([`resource`]).
+//! * [`BusyResource`] — the busy-until model of a port, PE or bus
+//!   ([`resource`]).
 //! * [`TimeQueue`] — indexed, monotone per-slot completion instants
 //!   with an `O(1)` running maximum for flat timing-graph replay
 //!   ([`timeq`]).
-//! * [`TraceBuffer`] — bounded tracing, [`Summary`] — streaming stats.
+//! * [`Summary`] — streaming statistics ([`stats`]).
 //!
 //! # Examples
 //!
@@ -39,18 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod event;
 pub mod resource;
 pub mod stats;
 pub mod time;
 pub mod timeq;
-pub mod trace;
 
-pub use engine::{Context, Control, RunOutcome, Simulation};
-pub use event::{EventKey, EventQueue, ScheduleInPastError};
-pub use resource::{BusyResource, ResourcePool};
+pub use resource::BusyResource;
 pub use stats::Summary;
 pub use time::{Clock, Frequency, SimDuration, SimTime};
 pub use timeq::TimeQueue;
-pub use trace::{TraceBuffer, TraceRecord};

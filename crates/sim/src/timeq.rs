@@ -1,8 +1,6 @@
 //! An indexed time queue for flat timing-graph replay.
 //!
-//! [`EventQueue`](crate::EventQueue) is a general binary heap: every
-//! schedule pays an `O(log n)` sift plus a `(time, seq)` tiebreak. A
-//! lowered timing graph needs none of that generality — it tracks one
+//! A lowered timing graph needs no general event heap — it tracks one
 //! monotonically non-decreasing completion instant per hardware slot
 //! (module `free_at`s, controller issue pipelines) and only ever asks
 //! for the *latest* of them at a barrier. [`TimeQueue`] is that

@@ -3,7 +3,8 @@
 //! Generators for the six benchmark scenarios of Fig. 4 (constant
 //! low/high, periodic spikes, pulsing, random) and the double-buffered
 //! task queue whose occupancy drives the placement optimizer's
-//! `t_constraint` (paper §III-A/§IV-A).
+//! `t_constraint` (paper §III-A/§IV-A). It also holds [`json`], the
+//! reader every on-disk format in the workspace shares.
 //!
 //! # Examples
 //!
@@ -20,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
+pub mod json;
 pub mod object_trace;
 pub mod scenario;
 pub mod traffic;

@@ -3,8 +3,8 @@
 //! A [`TraceRecorder`] captures `(arrival time, load)` pairs from any
 //! run — a live [`TrafficEngine`](super::TrafficEngine) tap, or an
 //! engine observer capturing completed slices — into a
-//! [`RecordedTrace`], a versioned on-disk JSON format (hand-rolled,
-//! no new dependencies, mirroring `bench_gate`'s). A
+//! [`RecordedTrace`], a versioned on-disk JSON format read through
+//! the workspace's shared [`crate::json`] reader. A
 //! [`ReplayTraffic`] then re-bins the recorded arrivals into
 //! per-slice loads, optionally **time-warped**: compressed (warp > 1)
 //! or dilated (warp < 1).
@@ -15,7 +15,7 @@
 //! original run" a checkable contract rather than a hope.
 
 use super::SliceBinner;
-use crate::scenario::{LoadTrace, TraceError};
+use crate::json::{quote, ParseError, Reader};
 use core::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -91,6 +91,15 @@ impl fmt::Display for TrafficError {
 }
 
 impl std::error::Error for TrafficError {}
+
+impl From<ParseError> for TrafficError {
+    fn from(e: ParseError) -> Self {
+        TrafficError::Parse {
+            message: e.message,
+            offset: e.offset,
+        }
+    }
+}
 
 /// A validated, versioned capture of `(arrival time, load)` pairs.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,7 +190,7 @@ impl RecordedTrace {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str(&format!("  \"label\": {},\n", escape_json(&self.label)));
+        out.push_str(&format!("  \"label\": {},\n", quote(&self.label)));
         out.push_str("  \"arrivals\": [");
         for (i, a) in self.arrivals.iter().enumerate() {
             let sep = if i + 1 == self.arrivals.len() {
@@ -206,8 +215,33 @@ impl RecordedTrace {
     /// [`TrafficError::Version`] for a future format version,
     /// [`TrafficError::InvalidArrival`] for out-of-contract samples.
     pub fn from_json(text: &str) -> Result<Self, TrafficError> {
-        let mut parser = Parser::new(text);
-        let (version, label, arrivals) = parser.parse_trace()?;
+        let mut r = Reader::new(text.as_bytes());
+        let (mut version, mut label, mut arrivals) = (None, None, None);
+        r.object(|r, key| {
+            match key {
+                "version" => version = Some(r.int::<u32>()?),
+                "label" => label = Some(r.string()?),
+                "arrivals" => {
+                    let mut out = Vec::new();
+                    r.array(|r| {
+                        r.expect(b'[')?;
+                        let time = r.f64()?;
+                        r.expect(b',')?;
+                        let load = r.f64()?;
+                        r.expect(b']')?;
+                        out.push(RecordedArrival { time, load });
+                        Ok(())
+                    })?;
+                    arrivals = Some(out);
+                }
+                other => return Err(r.error(format!("unknown key `{other}`"))),
+            }
+            Ok(())
+        })?;
+        r.end()?;
+        let version = version.ok_or_else(|| r.error("missing `version`"))?;
+        let label = label.ok_or_else(|| r.error("missing `label`"))?;
+        let arrivals = arrivals.ok_or_else(|| r.error("missing `arrivals`"))?;
         if version != TRACE_FORMAT_VERSION {
             return Err(TrafficError::Version {
                 found: version,
@@ -361,11 +395,6 @@ impl ReplayTraffic {
         self
     }
 
-    /// The active warp factor.
-    pub fn warp_factor(&self) -> f64 {
-        self.warp
-    }
-
     fn warped_time(&self, index: usize) -> f64 {
         self.arrivals[index].time / self.warp
     }
@@ -409,17 +438,6 @@ impl ReplayTraffic {
         }
         loads
     }
-
-    /// Runs the replay to exhaustion into a finite [`LoadTrace`]
-    /// (origin [`crate::TraceOrigin::Replay`]) for the session/server
-    /// layers.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Empty`] when the recording held no arrivals.
-    pub fn to_trace(self) -> Result<LoadTrace, TraceError> {
-        LoadTrace::replay(self.to_loads())
-    }
 }
 
 impl Iterator for ReplayTraffic {
@@ -430,206 +448,6 @@ impl Iterator for ReplayTraffic {
     /// [`ReplayTraffic::to_loads`] for the finite form).
     fn next(&mut self) -> Option<f64> {
         Some(self.next_load())
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal JSON reader for the recorded-trace schema (the same
-/// no-dependency idiom as `bench_gate`'s baseline parser).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, TrafficError> {
-        Err(TrafficError::Parse {
-            message: message.into(),
-            offset: self.pos,
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), TrafficError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected `{}`", byte as char))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, TrafficError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            match hex {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through intact.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return self.err("invalid UTF-8 in string"),
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, TrafficError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b"+-0123456789.eE".contains(b))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or(())
-            .or_else(|()| self.err("expected a number"))
-    }
-
-    fn parse_arrivals(&mut self) -> Result<Vec<RecordedArrival>, TrafficError> {
-        self.expect(b'[')?;
-        let mut arrivals = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(arrivals);
-        }
-        loop {
-            self.expect(b'[')?;
-            let time = self.parse_number()?;
-            self.expect(b',')?;
-            let load = self.parse_number()?;
-            self.expect(b']')?;
-            arrivals.push(RecordedArrival { time, load });
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(arrivals);
-                }
-                _ => return self.err("expected `,` or `]` in arrivals"),
-            }
-        }
-    }
-
-    fn parse_trace(&mut self) -> Result<(u32, String, Vec<RecordedArrival>), TrafficError> {
-        self.expect(b'{')?;
-        let (mut version, mut label, mut arrivals) = (None, None, None);
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "version" => {
-                    let v = self.parse_number()?;
-                    if v < 0.0 || v.fract() != 0.0 {
-                        return self.err(format!("non-integer version {v}"));
-                    }
-                    version = Some(v as u32);
-                }
-                "label" => label = Some(self.parse_string()?),
-                "arrivals" => arrivals = Some(self.parse_arrivals()?),
-                other => return self.err(format!("unknown key `{other}`")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return self.err("expected `,` or `}`"),
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return self.err("trailing content after trace object");
-        }
-        match (version, label, arrivals) {
-            (Some(v), Some(l), Some(a)) => Ok((v, l, a)),
-            (None, ..) => self.err("missing `version`"),
-            (_, None, _) => self.err("missing `label`"),
-            _ => self.err("missing `arrivals`"),
-        }
     }
 }
 
@@ -702,6 +520,8 @@ mod tests {
             "{\"version\": 1, \"label\": \"x\", \"arrivals\": [[0.1]]}",
             "{\"version\": 1, \"label\": \"x\", \"arrivals\": []} trailing",
             "{\"version\": 1.5, \"label\": \"x\", \"arrivals\": []}",
+            "{\"version\": 1.0, \"label\": \"x\", \"arrivals\": []}",
+            "{\"version\": 4294967297, \"label\": \"x\", \"arrivals\": []}",
             "{\"bogus\": 1}",
         ] {
             assert!(

@@ -2,15 +2,17 @@
 //! bit-identically into another, corrupted files degrade to typed
 //! errors and transparent rebuilds (never a panic, never stale data),
 //! a warm artifact directory reproduces every baseline energy with
-//! zero DP builds, and sharded sweeps merge bit-identically to the
-//! serial sweep for every shard count.
+//! zero DP builds, sharded sweeps merge bit-identically to the serial
+//! sweep for every shard count, and no truncated or mutated artifact
+//! or recorded trace panics its reader.
 
 use hhpim::session::SessionBuilder;
 use hhpim::{AllocationLut, ARTIFACT_FORMAT_VERSION};
 use hhpim::{
     Architecture, ArtifactError, ArtifactStore, BackendKind, CostModel, CostParams,
-    OptimizerConfig, PlacementKey, PlacementOptimizer, PlacementStore, RuntimeConfig,
-    SavingsMatrix, SweepArtifact, WorkloadProfile,
+    OptimizerConfig, PlacementKey, PlacementOptimizer, PlacementStore, RecordedArrival,
+    RecordedTrace, RuntimeConfig, SavingsCell, SavingsMatrix, SweepArtifact, SweepStats,
+    WorkloadProfile,
 };
 use hhpim_nn::TinyMlModel;
 use hhpim_workload::{Scenario, ScenarioParams};
@@ -311,4 +313,94 @@ fn sweep_shards_merge_bit_identical_to_serial() {
         let merged_artifact = SweepArtifact::merge(&artifacts).unwrap();
         assert_matches_serial(&merged_artifact.matrix, "SweepArtifact::merge");
     }
+}
+
+/// Hands `check` every proper prefix of `text`, then every variant
+/// with one byte replaced by one of a fixed set of JSON-significant
+/// bytes (skipping variants that are not UTF-8).
+fn for_each_mutation(text: &str, mut check: impl FnMut(&str)) {
+    for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+        check(&text[..end]);
+    }
+    let mut bytes = text.as_bytes().to_vec();
+    for i in 0..bytes.len() {
+        let original = bytes[i];
+        for &b in b"-09.e,]}[\" " {
+            bytes[i] = b;
+            if let Ok(mutant) = std::str::from_utf8(&bytes) {
+                check(mutant);
+            }
+        }
+        bytes[i] = original;
+    }
+}
+
+/// Satellite: no truncation or single-byte substitution of a LUT
+/// artifact panics the loader, and any mutant that still loads is the
+/// original table bit for bit (it re-serializes to the original text).
+#[test]
+fn mutated_lut_artifacts_load_the_original_or_fail_typed() {
+    let (key, lut) = build_cell(Architecture::HhPim, TinyMlModel::MobileNetV2);
+    let text = hhpim::lut_to_json(&key, &lut);
+    let mut loaded = 0;
+    for_each_mutation(&text, |mutant| {
+        if let Ok(back) = hhpim::lut_from_json(&key, mutant) {
+            assert_eq!(hhpim::lut_to_json(&key, &back), text, "{mutant}");
+            loaded += 1;
+        }
+    });
+    assert!(loaded > 0, "whitespace-only mutants must still load");
+}
+
+/// Satellite: the same for a sweep artifact — a mutant that loads
+/// carries the original shard and cells (its stats are outside the
+/// checksum and may differ).
+#[test]
+fn mutated_sweep_artifacts_load_the_original_or_fail_typed() {
+    let cells = TinyMlModel::ALL
+        .iter()
+        .zip(Scenario::ALL)
+        .map(|(&model, scenario)| SavingsCell {
+            scenario,
+            model,
+            vs_baseline: 61.25,
+            vs_heterogeneous: 1.0 / 3.0,
+            vs_hybrid: -0.5,
+        })
+        .collect();
+    let mut artifact = SweepArtifact::new(1, 3, SavingsMatrix { cells });
+    artifact.stats = Some(SweepStats {
+        lut_builds: 3,
+        disk_hits: 0,
+        disk_writes: 3,
+    });
+    let payload = |a: &SweepArtifact| {
+        SweepArtifact {
+            stats: None,
+            ..a.clone()
+        }
+        .to_json()
+    };
+    for_each_mutation(&artifact.to_json(), |mutant| {
+        if let Ok(back) = SweepArtifact::from_json(mutant) {
+            assert_eq!(payload(&back), payload(&artifact), "{mutant}");
+        }
+    });
+}
+
+/// Satellite: no truncation or single-byte substitution of a recorded
+/// trace panics its reader. (Traces carry no checksum, so a mutant may
+/// load with other values.)
+#[test]
+fn mutated_recorded_traces_never_panic() {
+    let arrivals = (0..8)
+        .map(|i| RecordedArrival {
+            time: f64::from(i) * 0.7,
+            load: 0.125 * f64::from(i % 5),
+        })
+        .collect();
+    let trace = RecordedTrace::new("mutation \"λ=3\"", arrivals).unwrap();
+    for_each_mutation(&trace.to_json(), |mutant| {
+        let _ = RecordedTrace::from_json(mutant);
+    });
 }

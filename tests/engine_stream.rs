@@ -246,14 +246,6 @@ fn budgeted_pump_matches_ingest() {
     let ingested_reports = ingested.drain().unwrap();
 
     assert_reports_identical(&pumped_reports[0], &ingested_reports[0]);
-
-    // The deprecated fixed-count form still routes to the same path.
-    let mut shimmed = Engine::from_backends(vec![boxed_backend(BackendKind::Analytic, "greedy")]);
-    let mut live = StreamSource::new(|slice| loads[slice]);
-    #[allow(deprecated)]
-    shimmed.pump_slices(&mut live, loads.len()).unwrap();
-    let shimmed_reports = shimmed.drain().unwrap();
-    assert_reports_identical(&shimmed_reports[0], &ingested_reports[0]);
 }
 
 /// Observer lifetime is an explicit contract: observers registered

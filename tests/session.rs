@@ -1,16 +1,14 @@
 //! Contract tests for the `hhpim::session` facade: determinism of the
-//! builder pipeline, equivalence of the deprecated constructors with
-//! their builder replacements, and policy selectability end to end.
+//! builder pipeline, the process-local store behind the store-less
+//! constructors, and policy selectability end to end.
 //! (`tests/backend_parity.rs` property-tests the `Session::compare`
 //! energy bound.)
 
-#![allow(deprecated)] // the shim-equivalence tests exercise the old constructors on purpose
-
-use hhpim::session::SessionBuilder;
+use hhpim::session::{SessionBuilder, SessionError};
 use hhpim::{
-    AnalyticBackend, Architecture, BackendKind, CostModel, CostParams, CycleBackend,
+    AnalyticBackend, Architecture, BackendKind, CostModel, CostModelError, CostParams,
     ExecutionBackend, FixedHome, GreedyBaseline, LutAdaptive, OptimizerConfig, PlacementStore,
-    Processor, RuntimeConfig, StorageSpace, WeightHome, WorkloadProfile,
+    Processor, RuntimeConfig, StorageSpace, WorkloadProfile,
 };
 use hhpim_nn::TinyMlModel;
 use hhpim_workload::{LoadTrace, Scenario, ScenarioParams};
@@ -60,83 +58,12 @@ fn same_seed_produces_identical_traces_and_artifacts() {
     assert_ne!(a.trace, c.trace);
 }
 
-/// Satellite: the deprecated `AnalyticBackend::with_params` is a thin
-/// shim over the builder — both produce identical reports.
+/// The store-less constructors route through the process-local
+/// `PlacementStore`: building a `Processor` leaves its LUT in the
+/// global cache, and the builder path drawing on the same
+/// configuration produces bit-identical reports.
 #[test]
-fn deprecated_analytic_constructor_matches_the_builder() {
-    let trace = LoadTrace::generate(Scenario::PeriodicSpike, params(5, 3));
-    let cost_params = CostParams::default();
-    let opt = OptimizerConfig {
-        time_buckets: 400,
-        ..OptimizerConfig::default()
-    };
-    let mut old = AnalyticBackend::with_params(
-        Architecture::HhPim,
-        TinyMlModel::EfficientNetB0,
-        cost_params,
-        opt,
-    )
-    .unwrap();
-    let mut new = SessionBuilder::new()
-        .architecture(Architecture::HhPim)
-        .model(TinyMlModel::EfficientNetB0)
-        .cost_params(cost_params)
-        .optimizer(opt)
-        .build_analytic()
-        .unwrap();
-    assert_reports_identical(&old.execute(&trace).unwrap(), &new.execute(&trace).unwrap());
-}
-
-/// Satellite: the deprecated cycle constructors are thin shims over
-/// the builder — both produce identical reports.
-#[test]
-fn deprecated_cycle_constructors_match_the_builder() {
-    let trace = LoadTrace::generate(Scenario::PeriodicSpike, params(4, 3));
-
-    let mut old = CycleBackend::with_weight_home(
-        Architecture::Hybrid,
-        TinyMlModel::MobileNetV2,
-        WeightHome::Mram,
-    )
-    .unwrap();
-    let mut new = SessionBuilder::new()
-        .architecture(Architecture::Hybrid)
-        .model(TinyMlModel::MobileNetV2)
-        .head_home(WeightHome::Mram)
-        .build_cycle()
-        .unwrap();
-    assert_reports_identical(&old.execute(&trace).unwrap(), &new.execute(&trace).unwrap());
-
-    // Pinned placement: old constructor vs FixedHome policy.
-    let cost = Processor::new(Architecture::HhPim, TinyMlModel::MobileNetV2)
-        .unwrap()
-        .cost()
-        .clone();
-    let mut pin = hhpim::Placement::empty();
-    let mut remaining = cost.k_groups();
-    for space in StorageSpace::ALL {
-        let take = remaining.min(cost.capacity_groups(space));
-        pin.set(space, take);
-        remaining -= take;
-    }
-    let mut old =
-        CycleBackend::with_fixed_placement(Architecture::HhPim, TinyMlModel::MobileNetV2, pin)
-            .unwrap();
-    let mut new = SessionBuilder::new()
-        .architecture(Architecture::HhPim)
-        .model(TinyMlModel::MobileNetV2)
-        .policy(FixedHome::pinned(pin))
-        .build_cycle()
-        .unwrap();
-    assert_reports_identical(&old.execute(&trace).unwrap(), &new.execute(&trace).unwrap());
-}
-
-/// Satellite: the deprecated shims route through the process-local
-/// `PlacementStore` — constructing a shim leaves its LUT in the global
-/// cache, and the builder path drawing on the same configuration
-/// produces bit-identical reports without a second DP.
-#[test]
-fn deprecated_shims_route_through_the_process_local_store() {
+fn store_less_constructors_route_through_the_process_local_store() {
     // A DP resolution no other test uses, so this key's presence in
     // the global store is attributable to this test alone.
     let opt = OptimizerConfig {
@@ -154,10 +81,10 @@ fn deprecated_shims_route_through_the_process_local_store() {
     let global = PlacementStore::global();
     assert!(
         !global.contains_lut(&cost, &runtime, &opt),
-        "key must be cold before the shim runs"
+        "key must be cold before the processor is built"
     );
 
-    let mut shim = AnalyticBackend::with_params(
+    let processor = Processor::with_params(
         Architecture::HhPim,
         TinyMlModel::MobileNetV2,
         cost_params,
@@ -166,11 +93,11 @@ fn deprecated_shims_route_through_the_process_local_store() {
     .unwrap();
     assert!(
         global.contains_lut(&cost, &runtime, &opt),
-        "the deprecated shim must populate the process-local store"
+        "Processor::with_params must populate the process-local store"
     );
 
-    // The builder path reuses the shim's cached LUT and agrees to the
-    // bit; the experiment shim rides the same cache.
+    // The builder path reuses the cached LUT and agrees to the bit.
+    let mut direct = AnalyticBackend::from_processor(processor);
     let mut via_builder = SessionBuilder::new()
         .architecture(Architecture::HhPim)
         .model(TinyMlModel::MobileNetV2)
@@ -179,41 +106,25 @@ fn deprecated_shims_route_through_the_process_local_store() {
         .unwrap();
     let trace = LoadTrace::generate(Scenario::PeriodicSpike, params(6, 7));
     assert_reports_identical(
-        &shim.execute(&trace).unwrap(),
+        &direct.execute(&trace).unwrap(),
         &via_builder.execute(&trace).unwrap(),
     );
-    let shim_case = hhpim::run_case(
-        Architecture::HhPim,
-        TinyMlModel::MobileNetV2,
-        Scenario::PeriodicSpike,
-        &hhpim::ExperimentConfig {
-            optimizer: opt,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut session = SessionBuilder::new()
-        .architecture(Architecture::HhPim)
-        .model(TinyMlModel::MobileNetV2)
-        .optimizer(opt)
-        .scenario(Scenario::PeriodicSpike)
-        .build()
-        .unwrap();
-    let artifacts = session.run().unwrap();
-    assert_reports_identical(&shim_case, artifacts.primary());
 }
 
-/// Invalid pins are rejected with the backend's placement error, as
-/// the old constructor rejected them.
+/// A pinned placement the architecture cannot hold is rejected when
+/// the policy is prepared, with a typed error naming the placement.
 #[test]
 fn invalid_pinned_placement_is_rejected() {
     let bogus = hhpim::Placement::all_in(StorageSpace::HpSram, 1);
-    let err =
-        CycleBackend::with_fixed_placement(Architecture::HhPim, TinyMlModel::MobileNetV2, bogus)
-            .unwrap_err();
+    let err = SessionBuilder::new()
+        .architecture(Architecture::HhPim)
+        .model(TinyMlModel::MobileNetV2)
+        .policy(FixedHome::pinned(bogus))
+        .build_cycle()
+        .unwrap_err();
     assert!(matches!(
         err,
-        hhpim::BackendError::InvalidPlacement { placement } if placement == bogus
+        SessionError::Cost(CostModelError::InvalidPlacement { placement }) if placement == bogus
     ));
 }
 
