@@ -531,7 +531,6 @@ pub struct CycleBackend {
     input: Vec<i8>,
     placement: Placement,
     head_home: WeightHome,
-    head_override: Option<WeightHome>,
     head_modules: Vec<usize>,
     time_scale: f64,
     /// The open streaming run, if any.
@@ -577,7 +576,7 @@ impl CycleBackend {
     /// machine-executable layer.
     pub fn new(arch: Architecture, model: TinyMlModel) -> Result<Self, BackendError> {
         let processor = Processor::new(arch, model)?;
-        Self::build(processor, model, None)
+        Self::from_processor(processor, model)
     }
 
     /// Builds the backend with an explicit [`PlacementPolicy`] deciding
@@ -599,7 +598,7 @@ impl CycleBackend {
             OptimizerConfig::default(),
             policy,
         )?;
-        Self::build(processor, model, None)
+        Self::from_processor(processor, model)
     }
 
     /// Builds the backend around an already-constructed analytic twin
@@ -609,19 +608,7 @@ impl CycleBackend {
     /// # Errors
     ///
     /// Fails if the model cannot be lowered onto the machine.
-    pub fn from_processor(
-        processor: Processor,
-        model: TinyMlModel,
-        head_override: Option<WeightHome>,
-    ) -> Result<Self, BackendError> {
-        Self::build(processor, model, head_override)
-    }
-
-    fn build(
-        processor: Processor,
-        model: TinyMlModel,
-        head_override: Option<WeightHome>,
-    ) -> Result<Self, BackendError> {
+    pub fn from_processor(processor: Processor, model: TinyMlModel) -> Result<Self, BackendError> {
         let arch = processor.arch().arch;
         let params = *processor.cost().params();
         let spec = arch.spec();
@@ -668,7 +655,6 @@ impl CycleBackend {
             input,
             placement: initial,
             head_home: WeightHome::Sram,
-            head_override,
             head_modules: Vec::new(),
             time_scale: params.time_scale,
             run: None,
@@ -820,9 +806,7 @@ impl CycleBackend {
     /// migration whose traffic is metered separately).
     fn refresh_head(&mut self) -> Result<(), BackendError> {
         self.head_modules = self.active_modules();
-        self.head_home = self
-            .head_override
-            .unwrap_or_else(|| self.head_home_for(&self.placement));
+        self.head_home = self.head_home_for(&self.placement);
         if let Some(head) = self.program.head() {
             head.install(&mut self.machine, &self.head_modules, self.head_home)
                 .map_err(BackendError::Compile)?;
@@ -1267,32 +1251,6 @@ impl ExecutionBackend for CycleBackend {
         }
         let mut run = self.run.take().expect("stream opened above");
         let result = self.step_cycle(&mut run, n_tasks);
-        self.run = Some(run);
-        result
-    }
-
-    fn step_n(
-        &mut self,
-        n_tasks: u32,
-        n_slices: u32,
-        out: &mut Vec<SliceOutcome>,
-    ) -> Result<(), BackendError> {
-        if self.run.is_none() {
-            self.begin_stream()?;
-        }
-        // Take the run once for the whole batch instead of once per
-        // slice — the amortized drain behind `Engine::step_n`.
-        let mut run = self.run.take().expect("stream opened above");
-        let mut result = Ok(());
-        for _ in 0..n_slices {
-            match self.step_cycle(&mut run, n_tasks) {
-                Ok(outcome) => out.push(outcome),
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
         self.run = Some(run);
         result
     }

@@ -7,10 +7,10 @@
 //! Two fidelities coexist, per layer kind:
 //!
 //! * **Bit-exact heads** — a narrow final linear layer (≤ 255 input
-//!   features) lowers via [`compile_linear`]/[`HeadPlan`] into real
-//!   INT8 MAC bursts whose accumulators are checked against the
-//!   software reference, the functional-verification role of the
-//!   paper's FPGA prototype.
+//!   features) lowers via [`lower_head`] into a relocatable
+//!   [`HeadPlan`] of real INT8 MAC bursts whose accumulators are
+//!   checked against the software reference, the functional-
+//!   verification role of the paper's FPGA prototype.
 //! * **Traffic-accurate schedules** — every other PIM layer
 //!   (convolutions, wide linears) lowers into a per-layer MAC *schedule*
 //!   ([`CompiledProgram`]): the layer's PIM MACs are striped over the
@@ -88,137 +88,6 @@ impl From<MachineError> for CompileError {
     fn from(e: MachineError) -> Self {
         CompileError::Machine(e)
     }
-}
-
-/// A linear layer lowered onto a PIM machine.
-#[derive(Debug, Clone)]
-pub struct CompiledLinear {
-    /// Which module computes each output neuron (round-robin).
-    assignment: Vec<usize>,
-    /// Per-neuron i32 bias, applied host-side at aggregation.
-    bias: Vec<i32>,
-    /// Input feature count (MACs per neuron).
-    in_features: usize,
-    home: WeightHome,
-}
-
-impl CompiledLinear {
-    /// Number of output neurons.
-    pub fn out_features(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// The module computing neuron `o`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `o` is out of range.
-    pub fn module_of(&self, o: usize) -> usize {
-        self.assignment[o]
-    }
-}
-
-/// Lowers linear layer `layer_idx` of `qm` onto `machine`: weight rows
-/// stripe round-robin over all modules in `home`, one row per
-/// "wave" per module.
-///
-/// # Errors
-///
-/// See [`CompileError`].
-pub fn compile_linear(
-    qm: &QuantizedModel,
-    layer_idx: usize,
-    machine: &mut PimMachine,
-    home: WeightHome,
-) -> Result<CompiledLinear, CompileError> {
-    let info = qm
-        .model()
-        .layers()
-        .get(layer_idx)
-        .ok_or(CompileError::NotLinear { layer: layer_idx });
-    let info = info?;
-    let Layer::Linear { out_features } = info.layer else {
-        return Err(CompileError::NotLinear { layer: layer_idx });
-    };
-    let lw = qm
-        .layer_weights(layer_idx)
-        .ok_or(CompileError::NoWeights { layer: layer_idx })?;
-    let (c, h, w) = info.input;
-    let in_features = c * h * w;
-    if in_features > 255 {
-        // A MAC burst carries at most 255 operations; multi-burst rows
-        // are possible but the activation region must also fit.
-        return Err(CompileError::RowTooLong { in_features });
-    }
-    let modules = machine.module_count();
-    let mut assignment = Vec::with_capacity(out_features);
-    for o in 0..out_features {
-        let module = o % modules;
-        assignment.push(module);
-        // Each wave stores its row behind the previous one.
-        let wave = o / modules;
-        let addr = wave * in_features;
-        let row: Vec<u8> = lw.weights[o * in_features..(o + 1) * in_features]
-            .iter()
-            .map(|&v| v as u8)
-            .collect();
-        machine.preload(module, home.mem(), addr, &row)?;
-    }
-    Ok(CompiledLinear {
-        assignment,
-        bias: lw.bias.clone(),
-        in_features,
-        home,
-    })
-}
-
-/// Executes a compiled layer on `machine` for one input vector and
-/// returns the raw i32 accumulators (bias applied, no requantization).
-///
-/// # Errors
-///
-/// Propagates machine errors.
-///
-/// # Panics
-///
-/// Panics if `input` length differs from the compiled `in_features`.
-pub fn run_linear(
-    machine: &mut PimMachine,
-    compiled: &CompiledLinear,
-    input: &[i8],
-) -> Result<Vec<i32>, CompileError> {
-    assert_eq!(input.len(), compiled.in_features, "input length mismatch");
-    let modules = machine.module_count();
-    let acts: Vec<u8> = input.iter().map(|&v| v as u8).collect();
-    for m in 0..modules {
-        machine.preload_activations(m, &acts)?;
-    }
-    let mut outputs = vec![0i32; compiled.out_features()];
-    let waves = compiled.out_features().div_ceil(modules);
-    for wave in 0..waves {
-        let lo = wave * modules;
-        let hi = (lo + modules).min(compiled.out_features());
-        let mut mask = ModuleMask::empty();
-        for o in lo..hi {
-            mask = mask.union(ModuleMask::single(compiled.assignment[o] as u8));
-        }
-        let addr = (wave * compiled.in_features) as u16;
-        machine.execute(PimInstruction::ClearAcc { modules: mask })?;
-        machine.execute(PimInstruction::Mac {
-            modules: mask,
-            mem: compiled.home.mem(),
-            addr,
-            count: compiled.in_features as u8,
-        })?;
-        machine.execute(PimInstruction::Barrier)?;
-        // Aggregate: the host reads each module's accumulator (the
-        // paper's "final output obtained by aggregating results").
-        for o in lo..hi {
-            let acc = machine.module(compiled.assignment[o]).pe().accumulator();
-            outputs[o] = acc + compiled.bias[o];
-        }
-    }
-    Ok(outputs)
 }
 
 /// How one model layer executes on the cycle machine.
@@ -483,8 +352,8 @@ mod tests {
         QuantizedModel::random(model, 77)
     }
 
-    fn reference(qm: &QuantizedModel, input: &[i8]) -> Vec<i32> {
-        let lw = qm.layer_weights(0).unwrap();
+    fn reference(qm: &QuantizedModel, layer: usize, input: &[i8]) -> Vec<i32> {
+        let lw = qm.layer_weights(layer).unwrap();
         let n = input.len();
         (0..lw.bias.len())
             .map(|o| {
@@ -498,32 +367,34 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn compiled_layer_matches_reference_across_all_modules() {
-        let qm = fc_model(32, 20); // 20 neurons over 8 modules: 3 waves
+    /// Lowers layer `layer` of `qm` and installs it in `home` of
+    /// `modules` on a fresh default machine.
+    fn installed(
+        qm: &QuantizedModel,
+        layer: usize,
+        modules: &[usize],
+        home: WeightHome,
+    ) -> (HeadPlan, PimMachine) {
+        let head = lower_head(qm, layer).unwrap();
         let mut machine = PimMachine::new(MachineConfig::default());
-        let compiled = compile_linear(&qm, 0, &mut machine, WeightHome::Mram).unwrap();
-        let input: Vec<i8> = (0..32).map(|i| ((i * 11) % 63) as i8 - 31).collect();
-        let got = run_linear(&mut machine, &compiled, &input).unwrap();
-        assert_eq!(got, reference(&qm, &input));
+        head.install(&mut machine, modules, home).unwrap();
+        (head, machine)
     }
+
+    const ALL: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
 
     #[test]
     fn sram_home_gives_same_results_faster() {
         let qm = fc_model(24, 8);
         let input: Vec<i8> = (0..24).map(|i| i as i8 - 12).collect();
-
-        let mut m1 = PimMachine::new(MachineConfig::default());
-        let c1 = compile_linear(&qm, 0, &mut m1, WeightHome::Mram).unwrap();
-        let r1 = run_linear(&mut m1, &c1, &input).unwrap();
-        let t_mram = m1.report().finished_at;
-
-        let mut m2 = PimMachine::new(MachineConfig::default());
-        let c2 = compile_linear(&qm, 0, &mut m2, WeightHome::Sram).unwrap();
-        let r2 = run_linear(&mut m2, &c2, &input).unwrap();
-        let t_sram = m2.report().finished_at;
-
-        assert_eq!(r1, r2, "placement must not change results");
+        let run = |home| {
+            let (head, mut machine) = installed(&qm, 0, &ALL, home);
+            let got = head.run(&mut machine, &ALL, home, &input).unwrap();
+            (got, machine.report().finished_at)
+        };
+        let (r_mram, t_mram) = run(WeightHome::Mram);
+        let (r_sram, t_sram) = run(WeightHome::Sram);
+        assert_eq!(r_mram, r_sram, "placement must not change results");
         assert!(
             t_sram < t_mram,
             "SRAM weights must be faster: {t_sram} vs {t_mram}"
@@ -532,70 +403,33 @@ mod tests {
 
     #[test]
     fn round_robin_spreads_neurons() {
+        // 10 neurons take 2 waves over 8 modules but 10 on one module.
         let qm = fc_model(8, 10);
-        let mut machine = PimMachine::new(MachineConfig::default());
-        let compiled = compile_linear(&qm, 0, &mut machine, WeightHome::Sram).unwrap();
-        assert_eq!(compiled.module_of(0), 0);
-        assert_eq!(compiled.module_of(7), 7);
-        assert_eq!(compiled.module_of(8), 0, "wraps to module 0");
-        assert_eq!(compiled.out_features(), 10);
+        let input: Vec<i8> = (0..8).map(|i| i as i8 * 3 - 9).collect();
+        let run = |modules: &[usize]| {
+            let (head, mut machine) = installed(&qm, 0, modules, WeightHome::Sram);
+            let got = head.run(&mut machine, modules, WeightHome::Sram, &input);
+            (got.unwrap(), machine.report().finished_at)
+        };
+        let (spread, t_spread) = run(&ALL);
+        let (single, t_single) = run(&[0]);
+        assert_eq!(spread, reference(&qm, 0, &input));
+        assert_eq!(single, spread);
+        assert!(t_spread < t_single, "{t_spread} vs {t_single}");
     }
 
     #[test]
     fn rejects_non_linear_and_long_rows() {
         let model = Model::new("r", (4, 1, 1), vec![Layer::Relu]).unwrap();
         let qm = QuantizedModel::random(model, 1);
-        let mut machine = PimMachine::new(MachineConfig::default());
         assert!(matches!(
-            compile_linear(&qm, 0, &mut machine, WeightHome::Mram),
+            lower_head(&qm, 0),
             Err(CompileError::NotLinear { layer: 0 })
         ));
-        let wide = fc_model(300, 2);
         assert!(matches!(
-            compile_linear(&wide, 0, &mut machine, WeightHome::Mram),
+            lower_head(&fc_model(300, 2), 0),
             Err(CompileError::RowTooLong { in_features: 300 })
         ));
-    }
-
-    #[test]
-    fn multiple_inputs_reuse_compiled_weights() {
-        let qm = fc_model(16, 6);
-        let mut machine = PimMachine::new(MachineConfig::default());
-        let compiled = compile_linear(&qm, 0, &mut machine, WeightHome::Mram).unwrap();
-        for seed in 0..4i8 {
-            let input: Vec<i8> = (0..16).map(|i| (i as i8).wrapping_mul(seed + 1)).collect();
-            let got = run_linear(&mut machine, &compiled, &input).unwrap();
-            assert_eq!(got, reference(&qm, &input), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn zoo_classifier_head_runs_on_machine() {
-        // The real MobileNetV2-tiny classifier head (88 -> 10) executed
-        // on the cycle-level machine, cross-checked with the reference.
-        let model = hhpim_nn::zoo::mobilenet_v2_tiny();
-        let head_idx = model.layers().len() - 1;
-        let qm = QuantizedModel::random(model, 3);
-        let (c, h, w) = qm.model().layers()[head_idx].input;
-        let in_features = c * h * w;
-        let mut machine = PimMachine::new(MachineConfig::default());
-        let compiled = compile_linear(&qm, head_idx, &mut machine, WeightHome::Mram).unwrap();
-        let input: Vec<i8> = (0..in_features)
-            .map(|i| ((i * 29) % 100) as i8 - 50)
-            .collect();
-        let got = run_linear(&mut machine, &compiled, &input).unwrap();
-        let lw = qm.layer_weights(head_idx).unwrap();
-        let expect: Vec<i32> = (0..10)
-            .map(|o| {
-                lw.bias[o]
-                    + input
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &a)| lw.weights[o * in_features + j] as i32 * a as i32)
-                        .sum::<i32>()
-            })
-            .collect();
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -620,27 +454,53 @@ mod tests {
     }
 
     #[test]
+    fn compiled_layer_matches_reference_across_all_modules() {
+        let qm = fc_model(32, 20); // 20 neurons over 8 modules: 3 waves
+        let (head, mut machine) = installed(&qm, 0, &ALL, WeightHome::Mram);
+        let input: Vec<i8> = (0..32).map(|i| ((i * 11) % 63) as i8 - 31).collect();
+        let got = head.run(&mut machine, &ALL, WeightHome::Mram, &input);
+        assert_eq!(got.unwrap(), reference(&qm, 0, &input));
+    }
+
+    #[test]
+    fn multiple_inputs_reuse_compiled_weights() {
+        let qm = fc_model(16, 6);
+        let (head, mut machine) = installed(&qm, 0, &ALL, WeightHome::Mram);
+        for seed in 0..4i8 {
+            let input: Vec<i8> = (0..16).map(|i| (i as i8).wrapping_mul(seed + 1)).collect();
+            let got = head.run(&mut machine, &ALL, WeightHome::Mram, &input);
+            assert_eq!(got.unwrap(), reference(&qm, 0, &input), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn zoo_classifier_head_runs_on_machine() {
+        // The real MobileNetV2-tiny classifier head (88 -> 10) executed
+        // on the cycle-level machine, cross-checked with the reference.
+        let model = hhpim_nn::zoo::mobilenet_v2_tiny();
+        let head_idx = model.layers().len() - 1;
+        let qm = QuantizedModel::random(model, 3);
+        let (head, mut machine) = installed(&qm, head_idx, &ALL, WeightHome::Mram);
+        assert_eq!((head.in_features(), head.out_features()), (88, 10));
+        let input: Vec<i8> = (0..88).map(|i| ((i * 29) % 100) as i8 - 50).collect();
+        let got = head.run(&mut machine, &ALL, WeightHome::Mram, &input);
+        assert_eq!(got.unwrap(), reference(&qm, head_idx, &input));
+    }
+
+    #[test]
     fn head_plan_matches_reference_and_relocates() {
         let qm = fc_model(32, 10);
-        let head = lower_head(&qm, 0).unwrap();
         let input: Vec<i8> = (0..32).map(|i| ((i * 13) % 64) as i8 - 32).collect();
-        let expect = reference(&qm, &input);
-        let mut machine = PimMachine::new(MachineConfig::default());
-        let modules: Vec<usize> = (0..machine.module_count()).collect();
-        head.install(&mut machine, &modules, WeightHome::Mram)
-            .unwrap();
-        let got = head
-            .run(&mut machine, &modules, WeightHome::Mram, &input)
-            .unwrap();
-        assert_eq!(got, expect);
+        let expect = reference(&qm, 0, &input);
+        let (head, mut machine) = installed(&qm, 0, &ALL, WeightHome::Mram);
+        let got = head.run(&mut machine, &ALL, WeightHome::Mram, &input);
+        assert_eq!(got.unwrap(), expect);
         // Re-home into SRAM on a subset of modules: same results.
-        let subset = [0usize, 1, 2, 3];
+        let subset = [0, 1, 2, 3];
         head.install(&mut machine, &subset, WeightHome::Sram)
             .unwrap();
-        let got2 = head
-            .run(&mut machine, &subset, WeightHome::Sram, &input)
-            .unwrap();
-        assert_eq!(got2, expect, "placement must not change results");
+        let got = head.run(&mut machine, &subset, WeightHome::Sram, &input);
+        assert_eq!(got.unwrap(), expect, "placement must not change results");
     }
 
     #[test]

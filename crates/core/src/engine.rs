@@ -15,7 +15,7 @@
 //!        ▼                                          │
 //!   SubmitOutcome::Accepted | Deferred              ▼
 //!                                    EngineEvent stream
-//!                                    (iterator + EngineObservers)
+//!                                      (iterator + Observers)
 //!                                          │
 //!                              drain() ──▶ Vec<ExecutionReport>
 //! ```
@@ -88,9 +88,11 @@ use std::fmt;
 /// Loads a fresh engine will buffer before deferring submissions.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
-/// Pending [`EngineEvent`]s kept for the iterator before the oldest
-/// are dropped (observers always see every event at emission time).
-/// Override per engine with [`Engine::with_event_capacity`].
+/// Pending events an [`Engine`] or a [`crate::Server`] keeps for its
+/// `events()` iterator before the oldest are dropped (observers always
+/// see every event at emission time). Override with
+/// [`Engine::with_event_capacity`] or
+/// [`crate::ServerBuilder::event_capacity`].
 pub const DEFAULT_EVENT_CAPACITY: usize = 8192;
 
 /// Whether [`Engine::submit`] enqueued the load.
@@ -174,16 +176,52 @@ pub enum EngineEvent {
     },
 }
 
-/// A callback receiving every [`EngineEvent`] at emission time,
-/// before it enters the iterator buffer.
-pub trait EngineObserver {
+/// A callback receiving every event of an [`Engine`] (`E` =
+/// [`EngineEvent`]) or a [`crate::Server`] (`E` =
+/// [`crate::ServerEvent`]) at emission time, before it enters the
+/// iterator buffer. Every `FnMut(&E)` closure is one.
+pub trait Observer<E> {
     /// Called once per event, in emission order.
-    fn on_event(&mut self, event: &EngineEvent);
+    fn on_event(&mut self, event: &E);
 }
 
-impl<F: FnMut(&EngineEvent)> EngineObserver for F {
-    fn on_event(&mut self, event: &EngineEvent) {
+impl<E, F: FnMut(&E)> Observer<E> for F {
+    fn on_event(&mut self, event: &E) {
         self(event)
+    }
+}
+
+/// The event log an engine and a server each keep: every event goes to
+/// the observers, then into a buffer for the `events()` iterator that
+/// drops its oldest entry when full and counts the drop.
+pub(crate) struct EventLog<E> {
+    pub(crate) pending: VecDeque<E>,
+    pub(crate) capacity: usize,
+    pub(crate) dropped: u64,
+    pub(crate) observers: Vec<Box<dyn Observer<E>>>,
+}
+
+impl<E> Default for EventLog<E> {
+    fn default() -> Self {
+        EventLog {
+            pending: VecDeque::new(),
+            capacity: DEFAULT_EVENT_CAPACITY,
+            dropped: 0,
+            observers: Vec::new(),
+        }
+    }
+}
+
+impl<E> EventLog<E> {
+    pub(crate) fn emit(&mut self, event: E) {
+        for observer in &mut self.observers {
+            observer.on_event(&event);
+        }
+        if self.pending.len() >= self.capacity {
+            self.pending.pop_front();
+            self.dropped += 1;
+        }
+        self.pending.push_back(event);
     }
 }
 
@@ -274,6 +312,52 @@ impl SliceOutcome {
         self.migration = Some(record);
         self
     }
+
+    /// Expands the outcome of `slice` on `backend` into its events, in
+    /// the order [`EngineEvent`] documents — the one place an outcome
+    /// becomes events, for the engine's log and the server's alike.
+    pub(crate) fn into_events(
+        self,
+        backend: BackendKind,
+        slice: usize,
+        n_tasks: u32,
+        mut emit: impl FnMut(EngineEvent),
+    ) {
+        if let Some(decision) = self.replacement {
+            emit(EngineEvent::Replacement {
+                backend,
+                slice,
+                from: decision.from,
+                to: decision.to,
+                legs: decision.legs,
+            });
+        }
+        if let Some(record) = self.migration {
+            emit(EngineEvent::Migration { backend, record });
+        }
+        let missed = !self.record.deadline_met;
+        let (task_time, t_constraint) = (self.record.task_time, self.record.t_constraint);
+        emit(EngineEvent::SliceCompleted {
+            backend,
+            record: self.record,
+        });
+        if missed {
+            emit(EngineEvent::DeadlineMiss {
+                backend,
+                slice,
+                n_tasks,
+                task_time,
+                t_constraint,
+            });
+        }
+        if self.idle > SimDuration::ZERO {
+            emit(EngineEvent::IdleAccrued {
+                backend,
+                slice,
+                idle: self.idle,
+            });
+        }
+    }
 }
 
 /// A placement change decided at a slice boundary — the output of the
@@ -346,16 +430,13 @@ pub struct Engine {
     backends: Vec<Box<dyn ExecutionBackend>>,
     max_tasks: u32,
     queue_capacity: usize,
-    event_capacity: usize,
     queue: VecDeque<f64>,
     next_slice: usize,
     started: bool,
-    events: VecDeque<EngineEvent>,
-    events_dropped: u64,
-    observers: Vec<Box<dyn EngineObserver>>,
-    /// Reused per batch by [`Engine::step_n`] so steady-state stepping
-    /// allocates nothing for outcome transport.
-    outcome_scratch: Vec<SliceOutcome>,
+    log: EventLog<EngineEvent>,
+    /// One outcome column per backend, reused by [`Engine::run_slices`]
+    /// so steady-state stepping allocates nothing for outcome transport.
+    outcomes: Vec<VecDeque<SliceOutcome>>,
 }
 
 impl fmt::Debug for Engine {
@@ -365,8 +446,8 @@ impl fmt::Debug for Engine {
             .field("queued", &self.queue.len())
             .field("next_slice", &self.next_slice)
             .field("started", &self.started)
-            .field("pending_events", &self.events.len())
-            .field("observers", &self.observers.len())
+            .field("pending_events", &self.log.pending.len())
+            .field("observers", &self.log.observers.len())
             .finish()
     }
 }
@@ -387,17 +468,14 @@ impl Engine {
             .map(|b| b.runtime_config().max_tasks)
             .unwrap_or(CostParams::default().max_tasks_per_slice);
         Engine {
+            outcomes: backends.iter().map(|_| VecDeque::new()).collect(),
             backends,
             max_tasks,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            event_capacity: DEFAULT_EVENT_CAPACITY,
             queue: VecDeque::new(),
             next_slice: 0,
             started: false,
-            events: VecDeque::new(),
-            events_dropped: 0,
-            observers: Vec::new(),
-            outcome_scratch: Vec::new(),
+            log: EventLog::default(),
         }
     }
 
@@ -414,7 +492,7 @@ impl Engine {
     /// [`Engine::events_dropped`] counts it; observers always see
     /// every event regardless.
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
-        self.event_capacity = capacity.max(1);
+        self.log.capacity = capacity.max(1);
         self
     }
 
@@ -428,20 +506,20 @@ impl Engine {
     /// metrics sink registered once keeps receiving events across
     /// every stream the engine serves. Detach them explicitly with
     /// [`Engine::clear_observers`].
-    pub fn observe(&mut self, observer: impl EngineObserver + 'static) {
-        self.observers.push(Box::new(observer));
+    pub fn observe(&mut self, observer: impl Observer<EngineEvent> + 'static) {
+        self.log.observers.push(Box::new(observer));
     }
 
     /// Detaches every registered observer (the other half of the
     /// [`Engine::observe`] lifetime contract: nothing else ever
     /// removes them).
     pub fn clear_observers(&mut self) {
-        self.observers.clear();
+        self.log.observers.clear();
     }
 
     /// Number of currently registered observers.
     pub fn observer_count(&self) -> usize {
-        self.observers.len()
+        self.log.observers.len()
     }
 
     /// The configured backends' kinds, in execution order.
@@ -472,7 +550,7 @@ impl Engine {
     /// it to zero along with the rest of the stream state, so a reused
     /// engine never reports a previous stream's losses.
     pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
+        self.log.dropped
     }
 
     /// Offers one load slice to the bounded queue.
@@ -516,116 +594,106 @@ impl Engine {
 
     /// Executes the oldest queued slice on every backend, emitting
     /// events. Returns the executed slice's index, or `None` when the
-    /// queue is empty.
+    /// queue is empty. The same as `step_n(1)`.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Backend`] when a backend fails; the stream is
-    /// then poisoned and the next `step` restarts every backend.
+    /// See [`Engine::step_n`].
     pub fn step(&mut self) -> Result<Option<usize>, EngineError> {
-        let Some(load) = self.queue.pop_front() else {
-            return Ok(None);
-        };
-        self.ensure_started()?;
         let slice = self.next_slice;
-        let n_tasks = LoadTrace::task_count_for(load, self.max_tasks);
-        for i in 0..self.backends.len() {
-            let kind = self.backends[i].kind();
-            let outcome = match self.backends[i].step_slice(n_tasks) {
-                Ok(outcome) => outcome,
-                Err(error) => {
-                    // Poison: discard the aborted stream wholesale —
-                    // queued loads and buffered events belong to a run
-                    // that will never produce a report, and the next
-                    // step restarts every backend at slice 0, so the
-                    // engine's counter resets in lockstep.
-                    self.started = false;
-                    self.next_slice = 0;
-                    self.queue.clear();
-                    self.events.clear();
-                    self.events_dropped = 0;
-                    return Err(EngineError::Backend {
-                        backend: kind,
-                        error,
-                    });
-                }
-            };
-            self.emit_outcome(kind, slice, n_tasks, outcome);
-        }
-        self.next_slice += 1;
-        Ok(Some(slice))
+        Ok((self.step_n(1)? == 1).then_some(slice))
     }
 
-    /// Executes up to `max_slices` queued slices in one call, batching
-    /// runs of equal-task-count loads into a single
-    /// [`ExecutionBackend::step_n`] drain per backend. Returns the
-    /// number of slices executed (0 when the queue is empty).
+    /// Executes up to `max_slices` queued slices in one call, emitting
+    /// their events. Returns the number of slices executed (0 when the
+    /// queue is empty).
     ///
-    /// Semantics are identical to calling [`Engine::step`] in a loop —
-    /// same events in the same order, same observer notifications, same
-    /// poison behavior on failure — but a single-backend engine pays
-    /// the per-call run bookkeeping once per *run* instead of once per
-    /// slice, and outcomes travel through a reused scratch buffer
-    /// instead of fresh allocations. Engines comparing several backends
-    /// fall back to slice-at-a-time stepping to preserve the
-    /// interleaved per-backend event order.
+    /// Each run of equal-task-count loads at the queue head goes to
+    /// every backend as one [`ExecutionBackend::step_n`] call, so the
+    /// per-call run bookkeeping is paid once per *run* instead of once
+    /// per slice. Events come slice by slice, and within a slice in
+    /// backend order — as if every backend had stepped one slice at a
+    /// time.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Backend`] when a backend fails; slices completed
-    /// before the failure have already emitted their events, then the
-    /// stream is poisoned exactly as by [`Engine::step`].
+    /// [`EngineError::Backend`] when a backend fails. A failing
+    /// `begin_stream` leaves the queue as it was. A failing step emits
+    /// the events of everything that ran before it, then poisons the
+    /// stream: queued loads and buffered events are discarded and the
+    /// next step restarts every backend at slice 0.
     pub fn step_n(&mut self, max_slices: usize) -> Result<usize, EngineError> {
-        if self.backends.len() != 1 {
-            let mut executed = 0usize;
-            while executed < max_slices && self.step()?.is_some() {
-                executed += 1;
-            }
-            return Ok(executed);
-        }
+        self.run_slices(max_slices, |log, backend, slice, n_tasks, outcome| {
+            outcome.into_events(backend, slice, n_tasks, |event| log.emit(event));
+        })
+    }
+
+    /// The engine's one stepping loop, behind [`Engine::step_n`] and
+    /// the server's grants: executes up to `max_slices` queued slices
+    /// and hands each backend's outcome of each slice to `sink` as
+    /// `(log, backend, slice, n_tasks, outcome)`, slice by slice and in
+    /// backend order within a slice; `log` is the engine's own, which
+    /// `step_n` writes to. A failing step first hands on everything
+    /// that ran before it, then poisons the stream.
+    pub(crate) fn run_slices(
+        &mut self,
+        max_slices: usize,
+        mut sink: impl FnMut(&mut EventLog<EngineEvent>, BackendKind, usize, u32, SliceOutcome),
+    ) -> Result<usize, EngineError> {
         let mut executed = 0usize;
         while executed < max_slices {
             let Some(&front) = self.queue.front() else {
                 break;
             };
             let n_tasks = LoadTrace::task_count_for(front, self.max_tasks);
-            // Length of the equal-task-count run at the queue head.
-            let mut run_len = 0usize;
-            for &load in self.queue.iter() {
-                if run_len >= max_slices - executed
-                    || LoadTrace::task_count_for(load, self.max_tasks) != n_tasks
-                {
-                    break;
-                }
-                run_len += 1;
-            }
+            // Length of the equal-task-count run at the queue head,
+            // capped at `step_n`'s `u32` slice count.
+            let run = self
+                .queue
+                .iter()
+                .take((max_slices - executed).min(u32::MAX as usize))
+                .take_while(|&&load| LoadTrace::task_count_for(load, self.max_tasks) == n_tasks)
+                .count();
             self.ensure_started()?;
-            self.queue.drain(..run_len);
-            let mut scratch = std::mem::take(&mut self.outcome_scratch);
-            scratch.clear();
-            let kind = self.backends[0].kind();
-            let result = self.backends[0].step_n(n_tasks, run_len as u32, &mut scratch);
-            let completed = scratch.len();
-            // Slices completed before any failure emit their events,
-            // exactly as sequential stepping would have.
-            for outcome in scratch.drain(..) {
-                let slice = self.next_slice;
-                self.emit_outcome(kind, slice, n_tasks, outcome);
+            self.queue.drain(..run);
+            // A backend steps only as far as every earlier one got, so
+            // a failure leaves `done` at the slice it happened in.
+            let mut done = run;
+            let mut failure = None;
+            for (backend, column) in self.backends.iter_mut().zip(&mut self.outcomes) {
+                column.clear();
+                let mut out = Vec::from(std::mem::take(column));
+                let result = backend.step_n(n_tasks, done as u32, &mut out);
+                done = done.min(out.len());
+                *column = VecDeque::from(out);
+                if let Err(error) = result {
+                    let backend = backend.kind();
+                    failure = Some(EngineError::Backend { backend, error });
+                }
+            }
+            // A failure adds the failing slice's row: only the backends
+            // ahead of the failing one got that far.
+            for _ in 0..done + usize::from(failure.is_some()) {
+                for (backend, column) in self.backends.iter().zip(&mut self.outcomes) {
+                    if let Some(outcome) = column.pop_front() {
+                        let slice = self.next_slice;
+                        sink(&mut self.log, backend.kind(), slice, n_tasks, outcome);
+                    }
+                }
                 self.next_slice += 1;
             }
-            self.outcome_scratch = scratch;
-            if let Err(error) = result {
+            if let Some(error) = failure {
+                // Poison: the aborted stream will never report, so its
+                // loads and events go, and the next step restarts every
+                // backend at slice 0.
                 self.started = false;
                 self.next_slice = 0;
                 self.queue.clear();
-                self.events.clear();
-                self.events_dropped = 0;
-                return Err(EngineError::Backend {
-                    backend: kind,
-                    error,
-                });
+                self.log.pending.clear();
+                self.log.dropped = 0;
+                return Err(error);
             }
-            executed += completed;
+            executed += done;
         }
         Ok(executed)
     }
@@ -639,10 +707,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// See [`Engine::step`]; backend finalization errors surface as
+    /// See [`Engine::step_n`]; backend finalization errors surface as
     /// [`EngineError::Backend`].
     pub fn drain(&mut self) -> Result<Vec<ExecutionReport>, EngineError> {
-        while self.step_n(usize::MAX)? > 0 {}
+        self.step_n(usize::MAX)?;
         // A zero-slice drain still opens a stream so there is one to
         // close; backends return an empty (but well-formed) report.
         self.ensure_started()?;
@@ -660,7 +728,7 @@ impl Engine {
         }
         self.started = false;
         self.next_slice = 0;
-        self.events_dropped = 0;
+        self.log.dropped = 0;
         Ok(reports)
     }
 
@@ -725,14 +793,14 @@ impl Engine {
             self.submit_blocking(load)?;
             executed += 1;
         }
-        while self.step_n(usize::MAX)? > 0 {}
+        self.step_n(usize::MAX)?;
         Ok(executed)
     }
 
     /// Drains the pending event buffer as an iterator (events already
     /// delivered to observers are not replayed).
     pub fn events(&mut self) -> std::collections::vec_deque::Drain<'_, EngineEvent> {
-        self.events.drain(..)
+        self.log.pending.drain(..)
     }
 
     fn ensure_started(&mut self) -> Result<(), EngineError> {
@@ -750,60 +818,6 @@ impl Engine {
         }
         self.started = true;
         Ok(())
-    }
-
-    fn emit_outcome(
-        &mut self,
-        backend: BackendKind,
-        slice: usize,
-        n_tasks: u32,
-        outcome: SliceOutcome,
-    ) {
-        if let Some(decision) = outcome.replacement {
-            self.emit(EngineEvent::Replacement {
-                backend,
-                slice,
-                from: decision.from,
-                to: decision.to,
-                legs: decision.legs,
-            });
-        }
-        if let Some(record) = outcome.migration {
-            self.emit(EngineEvent::Migration { backend, record });
-        }
-        let missed = !outcome.record.deadline_met;
-        let (task_time, t_constraint) = (outcome.record.task_time, outcome.record.t_constraint);
-        self.emit(EngineEvent::SliceCompleted {
-            backend,
-            record: outcome.record,
-        });
-        if missed {
-            self.emit(EngineEvent::DeadlineMiss {
-                backend,
-                slice,
-                n_tasks,
-                task_time,
-                t_constraint,
-            });
-        }
-        if outcome.idle > SimDuration::ZERO {
-            self.emit(EngineEvent::IdleAccrued {
-                backend,
-                slice,
-                idle: outcome.idle,
-            });
-        }
-    }
-
-    fn emit(&mut self, event: EngineEvent) {
-        for observer in &mut self.observers {
-            observer.on_event(&event);
-        }
-        if self.events.len() >= self.event_capacity {
-            self.events.pop_front();
-            self.events_dropped += 1;
-        }
-        self.events.push_back(event);
     }
 }
 
@@ -879,7 +893,7 @@ pub(crate) struct LayerAcc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::session::SessionBuilder;
     use hhpim_workload::{Scenario, ScenarioParams};
@@ -1021,14 +1035,31 @@ mod tests {
         assert_eq!(source.next_load(), 0.0, "the stream never ends");
     }
 
-    /// A backend that fails on a chosen slice index, for exercising
-    /// the engine's poison path.
+    /// An analytic backend that fails its first `begin_failures` stream
+    /// openings and then every step at slice index `fail_on`, for
+    /// exercising the engine's and the server's failure paths.
     #[derive(Debug)]
-    struct FailingBackend {
+    pub(crate) struct FailingBackend {
         inner: crate::backend::AnalyticBackend,
         fail_on: usize,
+        begin_failures: usize,
         stepped: usize,
     }
+
+    impl FailingBackend {
+        pub(crate) fn new(fail_on: usize, begin_failures: usize) -> Self {
+            FailingBackend {
+                inner: SessionBuilder::new().build_analytic().unwrap(),
+                fail_on,
+                begin_failures,
+                stepped: 0,
+            }
+        }
+    }
+
+    const INJECTED: BackendError = BackendError::NoPimLayer {
+        model: hhpim_nn::TinyMlModel::MobileNetV2,
+    };
 
     impl ExecutionBackend for FailingBackend {
         fn kind(&self) -> BackendKind {
@@ -1044,15 +1075,17 @@ mod tests {
         }
 
         fn begin_stream(&mut self) -> Result<(), BackendError> {
+            if self.begin_failures > 0 {
+                self.begin_failures -= 1;
+                return Err(INJECTED);
+            }
             self.stepped = 0;
             self.inner.begin_stream()
         }
 
         fn step_slice(&mut self, n_tasks: u32) -> Result<SliceOutcome, BackendError> {
             if self.stepped == self.fail_on {
-                return Err(BackendError::NoPimLayer {
-                    model: hhpim_nn::TinyMlModel::MobileNetV2,
-                });
+                return Err(INJECTED);
             }
             self.stepped += 1;
             self.inner.step_slice(n_tasks)
@@ -1065,11 +1098,7 @@ mod tests {
 
     #[test]
     fn poisoned_stream_discards_state_and_restarts_cleanly() {
-        let mut engine = Engine::new(FailingBackend {
-            inner: SessionBuilder::new().build_analytic().unwrap(),
-            fail_on: 2,
-            stepped: 0,
-        });
+        let mut engine = Engine::new(FailingBackend::new(2, 0));
         for _ in 0..5 {
             engine.submit(0.5).unwrap();
         }
@@ -1158,15 +1187,56 @@ mod tests {
     fn unbounded_pump_returns_only_on_error() {
         // `pump(source, None)` serves forever; a failing backend is
         // the only way out, and proves the loop was actually running.
-        let mut engine = Engine::new(FailingBackend {
-            inner: SessionBuilder::new().build_analytic().unwrap(),
-            fail_on: 7,
-            stepped: 0,
-        });
+        let mut engine = Engine::new(FailingBackend::new(7, 0));
         let mut live = StreamSource::new(|_| 0.5);
         let err = engine.pump(&mut live, None).unwrap_err();
         assert!(matches!(err, EngineError::Backend { .. }));
         assert!(live.position() >= 7, "served until the backend failed");
+    }
+
+    #[test]
+    fn a_failed_stream_opening_consumes_no_load() {
+        let mut engine = Engine::new(FailingBackend::new(usize::MAX, 1));
+        engine.submit(0.5).unwrap();
+        engine.submit(0.9).unwrap();
+        assert!(matches!(engine.step(), Err(EngineError::Backend { .. })));
+        assert_eq!(engine.pending(), 2, "both loads stay queued");
+        let reports = engine.drain().unwrap();
+        assert_eq!(reports[0].records.len(), 2);
+    }
+
+    #[test]
+    fn a_failing_backend_ends_its_slice_after_the_backends_ahead_of_it() {
+        use std::sync::{Arc, Mutex};
+        use BackendKind::{Analytic, Cycle};
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let cycle = SessionBuilder::new().build_cycle().unwrap();
+        let mut engine =
+            Engine::from_backends(vec![Box::new(cycle), Box::new(FailingBackend::new(1, 0))]);
+        engine.observe(move |event: &EngineEvent| {
+            if let EngineEvent::SliceCompleted { backend, record } = event {
+                sink.lock().unwrap().push((*backend, record.slice));
+            }
+        });
+        for _ in 0..3 {
+            engine.submit(0.5).unwrap();
+        }
+        let failed = engine.step_n(3);
+        assert!(matches!(
+            failed,
+            Err(EngineError::Backend {
+                backend: Analytic,
+                ..
+            })
+        ));
+        // Slice-major: slice 1 ran on the cycle backend before the
+        // analytic one failed it.
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [(Cycle, 0), (Analytic, 0), (Cycle, 1)]
+        );
+        assert_eq!((engine.pending(), engine.events().count()), (0, 0));
     }
 
     #[test]

@@ -105,14 +105,14 @@ pub use backend::{
     ExecutionBackend, ExecutionReport, LayerRecord, MigrationRecord, SliceRecord,
 };
 pub use compile::{
-    compile_linear, compile_model, lower_head, run_linear, CompileError, CompiledLayer,
-    CompiledLinear, CompiledProgram, HeadPlan, LayerOp, WeightHome,
+    compile_model, lower_head, CompileError, CompiledLayer, CompiledProgram, HeadPlan, LayerOp,
+    WeightHome,
 };
 pub use cost::{CostModel, CostModelError, CostParams, WorkloadProfile};
 pub use dp::{AllocationLut, OptimalPlacement, OptimizerConfig, PlacementOptimizer};
 pub use engine::{
-    Engine, EngineError, EngineEvent, EngineObserver, ReplacementDecision, SliceOutcome,
-    StreamSource, SubmitOutcome,
+    Engine, EngineError, EngineEvent, Observer, ReplacementDecision, SliceOutcome, StreamSource,
+    SubmitOutcome,
 };
 pub use error::{Error, Result};
 pub use experiment::{SavingsCell, SavingsMatrix};
@@ -120,8 +120,8 @@ pub use policy::{default_policy, FixedHome, GreedyBaseline, LutAdaptive, Placeme
 pub use runtime::{Processor, RuntimeConfig};
 pub use server::{
     AdmissionDecision, AdmissionPolicy, AlwaysAdmit, BatchCoalesce, QosClass, ServeReport, Server,
-    ServerBuilder, ServerError, ServerEvent, ServerObserver, ShedOnPressure, TenantId,
-    TenantReport, TenantSnapshot, TenantSpec, TenantStats,
+    ServerBuilder, ServerError, ServerEvent, ShedOnPressure, TenantId, TenantReport,
+    TenantSnapshot, TenantSpec, TenantStats,
 };
 pub use session::{
     ClosureSource, Comparison, ReplaySource, RunArtifacts, ScenarioSource, Session, SessionBuilder,

@@ -13,11 +13,11 @@
 //!   tenant sources ──AdmissionPolicy──▶ per-tenant Engine queues
 //!        │      (admit/defer/shed/merge)        │
 //!        ▼                                      ▼
-//!   TenantStats                    deficit-round-robin step()
+//!   TenantStats                    deficit-round-robin grants
 //!   (admitted/shed/deferred,                    │
 //!    miss rate, service share,                  ▼
 //!    starvation ticks)               ServerEvent stream
-//!                                    (iterator + ServerObservers)
+//!                                    (iterator + Observers)
 //!                                               │
 //!                                  run() ──▶ ServeReport
 //! ```
@@ -33,10 +33,11 @@
 //!    steps its engine that many slices; deficits reset when a queue
 //!    empties, so no tenant can bank unused credit and no tenant
 //!    starves (the bound is tested in `tests/server.rs`).
-//! 3. **Observation** — every engine event is re-emitted as a
-//!    [`ServerEvent::Engine`] tagged with its [`TenantId`], alongside
-//!    admission outcomes and QoS misses, through the same
-//!    capped-iterator + observer machinery the engine introduced.
+//! 3. **Observation** — each executed slice's engine events go
+//!    straight into the server's log as [`ServerEvent::Engine`]s tagged
+//!    with their [`TenantId`], followed by the slice's QoS miss if any,
+//!    alongside admission outcomes — through the same capped iterator
+//!    and [`Observer`]s the engine uses.
 //!
 //! **The equivalence contract:** a single-tenant server under
 //! [`AlwaysAdmit`] executes its trace through exactly the same
@@ -84,7 +85,7 @@ use crate::arch::Architecture;
 use crate::backend::{BackendKind, ExecutionReport};
 use crate::cost::CostParams;
 use crate::dp::OptimizerConfig;
-use crate::engine::{Engine, EngineError, EngineEvent, SubmitOutcome, DEFAULT_EVENT_CAPACITY};
+use crate::engine::{Engine, EngineError, EngineEvent, EventLog, Observer, SubmitOutcome};
 use crate::policy::PlacementPolicy;
 use crate::session::{SessionBuilder, SessionError, TraceSource};
 use crate::store::PlacementStore;
@@ -274,7 +275,9 @@ pub enum AdmissionDecision {
     /// The offered load was absorbed into the policy's accumulator
     /// and a merged slice of `load` should be enqueued in its place.
     /// Policies must only return this when
-    /// [`TenantSnapshot::queue_depth`] is below the queue capacity.
+    /// [`TenantSnapshot::queue_depth`] is below the queue capacity;
+    /// otherwise serving stops with
+    /// [`ServerError::MergeIntoFullQueue`].
     AdmitMerged {
         /// The merged load to enqueue (in `[0, 1]`).
         load: f64,
@@ -469,9 +472,8 @@ impl AdmissionPolicy for BatchCoalesce {
 }
 
 /// One observation from the serving loop, tagged with the tenant it
-/// concerns. Admission events are emitted as decisions happen;
-/// [`ServerEvent::Engine`] re-emits every tenant engine's events in
-/// execution order.
+/// concerns. Admission events are emitted as decisions happen, engine
+/// events as each slice completes.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServerEvent {
@@ -517,7 +519,7 @@ pub enum ServerEvent {
         /// The tenant's SLO.
         deadline: SimDuration,
     },
-    /// A tenant engine's own event, re-emitted with its tenant tag.
+    /// An event of a tenant's engine, with its tenant tag.
     Engine {
         /// The tenant whose engine emitted it.
         tenant: TenantId,
@@ -531,21 +533,6 @@ pub enum ServerEvent {
         /// Slices executed across all tenants this round.
         executed: usize,
     },
-}
-
-/// A callback receiving every [`ServerEvent`] at emission time,
-/// before it enters the iterator buffer — the server-level analogue
-/// of [`crate::engine::EngineObserver`], with the same lifetime
-/// contract (observers are bound to the server, never auto-removed).
-pub trait ServerObserver {
-    /// Called once per event, in emission order.
-    fn on_event(&mut self, event: &ServerEvent);
-}
-
-impl<F: FnMut(&ServerEvent)> ServerObserver for F {
-    fn on_event(&mut self, event: &ServerEvent) {
-        self(event)
-    }
 }
 
 /// Errors surfaced while building or serving a [`Server`].
@@ -590,6 +577,13 @@ pub enum ServerError {
         /// The round that made no progress.
         round: u64,
     },
+    /// The admission policy answered
+    /// [`AdmissionDecision::AdmitMerged`] while the tenant's queue was
+    /// full; the offered load stays in the tenant's source.
+    MergeIntoFullQueue {
+        /// The tenant whose queue was full.
+        tenant: TenantId,
+    },
 }
 
 impl fmt::Display for ServerError {
@@ -615,6 +609,9 @@ impl fmt::Display for ServerError {
                     f,
                     "round {round} made no progress with work remaining (admission livelock)"
                 )
+            }
+            ServerError::MergeIntoFullQueue { tenant } => {
+                write!(f, "admission merged a load into {tenant}'s full queue")
             }
         }
     }
@@ -767,8 +764,9 @@ impl ServerBuilder {
     }
 
     /// The server event buffer's capacity (default
-    /// [`DEFAULT_EVENT_CAPACITY`]; clamped to at least 1), with the
-    /// same drop-oldest semantics as the engine's.
+    /// [`crate::engine::DEFAULT_EVENT_CAPACITY`]; clamped to at least
+    /// 1), with the same drop-oldest semantics as the engine's. The
+    /// server's drop counter runs for its whole lifetime.
     pub fn event_capacity(mut self, capacity: usize) -> Self {
         self.event_capacity = Some(capacity.max(1));
         self
@@ -841,24 +839,26 @@ impl ServerBuilder {
                 engine,
                 deficit: 0,
                 stats: TenantStats::default(),
-                window: VecDeque::with_capacity(miss_window),
-                window_misses: 0,
+                window: MissWindow {
+                    flags: VecDeque::with_capacity(miss_window),
+                    misses: 0,
+                    cap: miss_window,
+                },
                 streak: 0,
                 primed: false,
                 flushed: false,
             });
         }
+        let mut log = EventLog::default();
+        if let Some(capacity) = self.event_capacity {
+            log.capacity = capacity;
+        }
         Ok(Server {
             tenants,
             admission: self.admission.unwrap_or_else(|| Box::new(AlwaysAdmit)),
             store,
-            miss_window,
             round: 0,
-            events: VecDeque::new(),
-            events_dropped: 0,
-            event_capacity: self.event_capacity.unwrap_or(DEFAULT_EVENT_CAPACITY),
-            observers: Vec::new(),
-            event_scratch: Vec::new(),
+            log,
         })
     }
 }
@@ -873,41 +873,43 @@ struct Tenant {
     engine: Engine,
     deficit: u64,
     stats: TenantStats,
-    window: VecDeque<bool>,
-    window_misses: usize,
+    window: MissWindow,
     streak: u64,
     primed: bool,
     flushed: bool,
 }
 
-impl Tenant {
-    fn recent_miss_rate(&self) -> f64 {
-        if self.window.is_empty() {
-            0.0
-        } else {
-            self.window_misses as f64 / self.window.len() as f64
+/// Whether each of a tenant's last `cap` executed slices missed.
+struct MissWindow {
+    flags: VecDeque<bool>,
+    misses: usize,
+    cap: usize,
+}
+
+impl MissWindow {
+    fn record(&mut self, missed: bool) {
+        if self.flags.len() >= self.cap && self.flags.pop_front() == Some(true) {
+            self.misses -= 1;
         }
+        self.flags.push_back(missed);
+        self.misses += usize::from(missed);
     }
 
+    fn rate(&self) -> f64 {
+        self.misses as f64 / self.flags.len().max(1) as f64
+    }
+}
+
+impl Tenant {
     fn snapshot(&self) -> TenantSnapshot {
         TenantSnapshot {
             id: self.id,
             qos: self.qos,
             queue_depth: self.engine.pending(),
             pending_source: self.pending.len().saturating_sub(1),
-            recent_miss_rate: self.recent_miss_rate(),
-            window_samples: self.window.len(),
+            recent_miss_rate: self.window.rate(),
+            window_samples: self.window.flags.len(),
             stats: self.stats,
-        }
-    }
-
-    fn record_miss_flag(&mut self, missed: bool, miss_window: usize) {
-        if self.window.len() >= miss_window && self.window.pop_front() == Some(true) {
-            self.window_misses -= 1;
-        }
-        self.window.push_back(missed);
-        if missed {
-            self.window_misses += 1;
         }
     }
 
@@ -924,15 +926,8 @@ pub struct Server {
     tenants: Vec<Tenant>,
     admission: Box<dyn AdmissionPolicy>,
     store: Arc<PlacementStore>,
-    miss_window: usize,
     round: u64,
-    events: VecDeque<ServerEvent>,
-    events_dropped: u64,
-    event_capacity: usize,
-    observers: Vec<Box<dyn ServerObserver>>,
-    /// Reused per quantum to drain tenant-engine events without a
-    /// fresh allocation per served slice.
-    event_scratch: Vec<EngineEvent>,
+    log: EventLog<ServerEvent>,
 }
 
 impl fmt::Debug for Server {
@@ -948,7 +943,7 @@ impl fmt::Debug for Server {
             )
             .field("admission", &self.admission.name())
             .field("round", &self.round)
-            .field("pending_events", &self.events.len())
+            .field("pending_events", &self.log.pending.len())
             .finish_non_exhaustive()
     }
 }
@@ -1058,20 +1053,21 @@ impl Server {
     /// Registers an observer receiving every future [`ServerEvent`]
     /// at emission time, with the engine observer's lifetime
     /// contract: bound to the server, never auto-removed.
-    pub fn observe(&mut self, observer: impl ServerObserver + 'static) {
-        self.observers.push(Box::new(observer));
+    pub fn observe(&mut self, observer: impl Observer<ServerEvent> + 'static) {
+        self.log.observers.push(Box::new(observer));
     }
 
     /// Drains the pending event buffer as an iterator (events already
     /// delivered to observers are not replayed).
     pub fn events(&mut self) -> std::collections::vec_deque::Drain<'_, ServerEvent> {
-        self.events.drain(..)
+        self.log.pending.drain(..)
     }
 
     /// Events dropped from the iterator buffer because nobody drained
-    /// [`Server::events`] (observers still saw them).
+    /// [`Server::events`] (observers still saw them), over the
+    /// server's lifetime.
     pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
+        self.log.dropped
     }
 
     /// Whether every tenant's source is exhausted, coalesced
@@ -1104,19 +1100,13 @@ impl Server {
                 return Err(ServerError::Stalled { round: self.round });
             }
         }
-        let total: u64 = self.tenants.iter().map(|t| t.stats.executed).sum();
+        let stats = self.stats();
         let mut reports = Vec::with_capacity(self.tenants.len());
-        for tenant in &mut self.tenants {
+        for (tenant, stats) in self.tenants.iter_mut().zip(stats) {
             let engine_reports = tenant.engine.drain().map_err(|error| ServerError::Tenant {
                 tenant: tenant.id,
                 error,
             })?;
-            let mut stats = tenant.stats;
-            stats.service_share = if total == 0 {
-                0.0
-            } else {
-                stats.executed as f64 / total as f64
-            };
             reports.push(TenantReport {
                 id: tenant.id,
                 name: tenant.name.clone(),
@@ -1174,9 +1164,8 @@ impl Server {
             executed_this_round += steps;
             progressed |= steps > 0;
         }
-        let round = self.round;
-        self.emit(ServerEvent::RoundCompleted {
-            round,
+        self.log.emit(ServerEvent::RoundCompleted {
+            round: self.round,
             executed: executed_this_round,
         });
         self.round += 1;
@@ -1199,50 +1188,39 @@ impl Server {
             let tenant = &mut self.tenants[i];
             let id = tenant.id;
             match decision {
-                AdmissionDecision::Admit => {
-                    if !room {
-                        tenant.stats.deferred += 1;
-                        self.emit(ServerEvent::Deferred { tenant: id, load });
-                        break;
-                    }
-                    tenant.pending.pop_front();
-                    tenant.stats.submitted += 1;
+                AdmissionDecision::Admit if room => {
                     Self::enqueue(tenant, load)?;
-                    self.emit(ServerEvent::Admitted { tenant: id, load });
-                    progressed = true;
+                    self.log.emit(ServerEvent::Admitted { tenant: id, load });
                 }
                 AdmissionDecision::AdmitMerged { load: merged } => {
-                    tenant.pending.pop_front();
-                    tenant.stats.submitted += 1;
-                    tenant.stats.coalesced += 1;
                     Self::enqueue(tenant, merged)?;
-                    self.emit(ServerEvent::Coalesced { tenant: id, load });
-                    self.emit(ServerEvent::Admitted {
+                    tenant.stats.coalesced += 1;
+                    self.log.emit(ServerEvent::Coalesced { tenant: id, load });
+                    self.log.emit(ServerEvent::Admitted {
                         tenant: id,
                         load: merged,
                     });
-                    progressed = true;
                 }
                 AdmissionDecision::Coalesce => {
-                    tenant.pending.pop_front();
-                    tenant.stats.submitted += 1;
                     tenant.stats.coalesced += 1;
-                    self.emit(ServerEvent::Coalesced { tenant: id, load });
-                    progressed = true;
-                }
-                AdmissionDecision::Defer => {
-                    tenant.stats.deferred += 1;
-                    self.emit(ServerEvent::Deferred { tenant: id, load });
-                    break;
+                    self.log.emit(ServerEvent::Coalesced { tenant: id, load });
                 }
                 AdmissionDecision::Shed => {
-                    tenant.pending.pop_front();
-                    tenant.stats.submitted += 1;
                     tenant.stats.shed += 1;
-                    self.emit(ServerEvent::Shed { tenant: id, load });
-                    progressed = true;
+                    self.log.emit(ServerEvent::Shed { tenant: id, load });
+                }
+                // A policy deferral, or an admission into a full queue.
+                AdmissionDecision::Admit | AdmissionDecision::Defer => {
+                    tenant.stats.deferred += 1;
+                    self.log.emit(ServerEvent::Deferred { tenant: id, load });
+                    break;
                 }
             }
+            // The offered load is consumed only once its decision went
+            // through, so a failed enqueue leaves it in the source.
+            tenant.pending.pop_front();
+            tenant.stats.submitted += 1;
+            progressed = true;
         }
         // Source dry: release any coalesced remainder, one slice per
         // free queue slot; mark flushed once the policy is empty.
@@ -1256,7 +1234,7 @@ impl Server {
                     let tenant = &mut self.tenants[i];
                     let id = tenant.id;
                     Self::enqueue(tenant, load.clamp(0.0, 1.0))?;
-                    self.emit(ServerEvent::Admitted { tenant: id, load });
+                    self.log.emit(ServerEvent::Admitted { tenant: id, load });
                     progressed = true;
                 }
                 None => self.tenants[i].flushed = true,
@@ -1265,16 +1243,16 @@ impl Server {
         Ok(progressed)
     }
 
-    /// Enqueues one load on a tenant's engine (the feed pass only
-    /// calls this with room available, so a deferral here is a policy
-    /// contract violation surfaced as a stall later).
+    /// Enqueues one load on a tenant's engine. The feed pass checks for
+    /// room before admitting or flushing, so only a policy merging into
+    /// a full queue finds none.
     fn enqueue(tenant: &mut Tenant, load: f64) -> Result<(), ServerError> {
         match tenant.engine.submit(load) {
             Ok(SubmitOutcome::Accepted) => {
                 tenant.stats.admitted += 1;
                 Ok(())
             }
-            Ok(_) => Ok(()),
+            Ok(_) => Err(ServerError::MergeIntoFullQueue { tenant: tenant.id }),
             Err(error) => Err(ServerError::Tenant {
                 tenant: tenant.id,
                 error,
@@ -1282,134 +1260,70 @@ impl Server {
         }
     }
 
-    /// Execution pass for one tenant: grant its DRR quantum and step
-    /// its engine, charging one deficit unit per slice; the deficit
-    /// resets when its queue empties (no banking). Returns slices
-    /// executed.
+    /// Execution pass for one tenant: grant its DRR quantum as one
+    /// batched engine call, charging one deficit unit per slice; the
+    /// deficit resets when its queue empties (no banking). Returns
+    /// slices executed.
     fn serve_quantum(&mut self, i: usize) -> Result<usize, ServerError> {
-        if self.tenants[i].engine.pending() == 0 {
-            self.tenants[i].deficit = 0;
+        let tenant = &mut self.tenants[i];
+        if tenant.engine.pending() == 0 {
+            tenant.deficit = 0;
             return Ok(0);
         }
-        // Who is waiting while this tenant runs (fixed for the whole
-        // quantum: only tenant i's engine moves).
-        let waiting: Vec<usize> = (0..self.tenants.len())
-            .filter(|&j| j != i && self.tenants[j].engine.pending() > 0)
-            .collect();
-        self.tenants[i].deficit += self.tenants[i].qos.quantum();
-        let window = self.miss_window;
-        let mut steps = 0usize;
-        while self.tenants[i].deficit > 0 && self.tenants[i].engine.pending() > 0 {
-            let tenant = &mut self.tenants[i];
-            let id = tenant.id;
-            let qos = tenant.qos;
-            // Grant the remaining deficit in one batched call: the
-            // engine drains whole runs of equal-load slices through
-            // `ExecutionBackend::step_n` instead of stepping one by
-            // one.
-            let grant = (tenant.deficit as usize).min(tenant.engine.pending());
-            let stepped = match tenant.engine.step_n(grant) {
-                Ok(0) => break,
-                Ok(n) => n,
-                Err(error) => {
-                    return Err(ServerError::Tenant { tenant: id, error });
-                }
-            };
-            tenant.deficit -= stepped as u64;
-            tenant.stats.executed += stepped as u64;
-            tenant.streak = 0;
-            steps += stepped;
-            // Drain the batch's events through the reusable scratch
-            // and process them slice by slice (every slice emits a
-            // SliceCompleted, so slice groups are never empty): miss
-            // accounting per slice, engine events re-emitted in order,
-            // QosMiss appended after its slice's events — the exact
-            // sequence per-slice stepping produced.
-            let mut events = std::mem::take(&mut self.event_scratch);
-            events.clear();
-            events.extend(self.tenants[i].engine.events());
-            let mut current_slice: Option<usize> = None;
-            let mut missed = false;
-            let mut qos_miss: Option<(usize, SimDuration)> = None;
-            for event in events.drain(..) {
-                let slice = match &event {
-                    EngineEvent::SliceCompleted { record, .. } => record.slice,
-                    EngineEvent::Replacement { slice, .. } => *slice,
-                    EngineEvent::Migration { record, .. } => record.slice,
-                    EngineEvent::DeadlineMiss { slice, .. } => *slice,
-                    EngineEvent::IdleAccrued { slice, .. } => *slice,
-                };
-                if current_slice.is_some_and(|c| c != slice) {
-                    let tenant = &mut self.tenants[i];
-                    tenant.stats.missed += u64::from(missed);
-                    tenant.record_miss_flag(missed, window);
-                    missed = false;
-                    if let Some((slice, task_time)) = qos_miss.take() {
-                        self.emit(ServerEvent::QosMiss {
-                            tenant: id,
-                            slice,
-                            task_time,
-                            deadline: qos.deadline,
-                        });
-                    }
-                }
-                current_slice = Some(slice);
-                if let EngineEvent::DeadlineMiss { .. } = &event {
-                    missed = true;
-                }
-                if let EngineEvent::SliceCompleted { record, .. } = &event {
-                    if record.task_time > qos.deadline {
-                        missed = true;
-                        qos_miss = Some((record.slice, record.task_time));
-                    }
-                }
-                self.emit(ServerEvent::Engine { tenant: id, event });
-            }
-            if current_slice.is_some() {
-                let tenant = &mut self.tenants[i];
+        tenant.deficit += tenant.qos.quantum();
+        let (id, deadline, log) = (tenant.id, tenant.qos.deadline, &mut self.log);
+        let grant = (tenant.deficit as usize).min(tenant.engine.pending());
+        // Each slice is accounted as it completes (tenants run one
+        // backend, so one outcome is one slice): a grant that fails
+        // partway leaves every slice it logged counted.
+        let steps = tenant
+            .engine
+            .run_slices(grant, |_, backend, slice, n_tasks, outcome| {
+                let record = &outcome.record;
+                let qos_miss =
+                    (record.task_time > deadline).then_some((record.slice, record.task_time));
+                let missed = !record.deadline_met || qos_miss.is_some();
+                tenant.stats.executed += 1;
                 tenant.stats.missed += u64::from(missed);
-                tenant.record_miss_flag(missed, window);
-                if let Some((slice, task_time)) = qos_miss.take() {
-                    self.emit(ServerEvent::QosMiss {
+                tenant.window.record(missed);
+                outcome.into_events(backend, slice, n_tasks, |event| {
+                    log.emit(ServerEvent::Engine { tenant: id, event });
+                });
+                if let Some((slice, task_time)) = qos_miss {
+                    log.emit(ServerEvent::QosMiss {
                         tenant: id,
                         slice,
                         task_time,
-                        deadline: qos.deadline,
+                        deadline,
                     });
                 }
-            }
-            self.event_scratch = events;
+            })
+            .map_err(|error| ServerError::Tenant { tenant: id, error })?;
+        tenant.deficit -= steps as u64;
+        if tenant.engine.pending() == 0 {
+            tenant.deficit = 0;
         }
-        if self.tenants[i].engine.pending() == 0 {
-            self.tenants[i].deficit = 0;
-        }
-        // Everyone who waited through this quantum starved a little.
+        // Everyone who waited through this quantum starved a little
+        // (only this tenant's queue moved, so who waited is who still
+        // waits).
         if steps > 0 {
-            for j in waiting {
-                let other = &mut self.tenants[j];
-                other.stats.starvation_ticks += steps as u64;
-                other.streak += steps as u64;
-                other.stats.max_starvation = other.stats.max_starvation.max(other.streak);
+            tenant.streak = 0;
+            for (j, other) in self.tenants.iter_mut().enumerate() {
+                if j != i && other.engine.pending() > 0 {
+                    other.stats.starvation_ticks += steps as u64;
+                    other.streak += steps as u64;
+                    other.stats.max_starvation = other.stats.max_starvation.max(other.streak);
+                }
             }
         }
         Ok(steps)
-    }
-
-    fn emit(&mut self, event: ServerEvent) {
-        for observer in &mut self.observers {
-            observer.on_event(&event);
-        }
-        if self.events.len() >= self.event_capacity {
-            self.events.pop_front();
-            self.events_dropped += 1;
-        }
-        self.events.push_back(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::FailingBackend;
     use crate::session::ScenarioSource;
     use hhpim_workload::{Scenario, ScenarioParams};
 
@@ -1434,6 +1348,13 @@ mod tests {
                 ..ScenarioParams::default()
             },
         )
+    }
+
+    /// One MobileNetV2 tenant on `slices` low-load slices.
+    fn solo(slices: usize, qos: QosClass) -> ServerBuilder {
+        let source = source(Scenario::LowConstant, slices, 0);
+        ServerBuilder::new()
+            .tenant(TenantSpec::new("cam", TinyMlModel::MobileNetV2, source).qos(qos))
     }
 
     #[test]
@@ -1545,18 +1466,17 @@ mod tests {
         ));
     }
 
-    /// A policy that refuses every load without consuming it: the
-    /// server must detect the livelock instead of spinning forever.
+    /// A policy that answers every offered load the same way.
     #[derive(Debug, Clone, Copy)]
-    struct AlwaysDefer;
+    struct Always(AdmissionDecision);
 
-    impl AdmissionPolicy for AlwaysDefer {
+    impl AdmissionPolicy for Always {
         fn name(&self) -> &'static str {
-            "always-defer"
+            "always"
         }
 
         fn admit(&mut self, _tenant: &TenantSnapshot, _load: f64) -> AdmissionDecision {
-            AdmissionDecision::Defer
+            self.0
         }
 
         fn clone_box(&self) -> Box<dyn AdmissionPolicy> {
@@ -1566,16 +1486,50 @@ mod tests {
 
     #[test]
     fn a_livelocked_admission_policy_surfaces_as_stalled() {
-        let mut server = ServerBuilder::new()
-            .admission(AlwaysDefer)
-            .tenant(TenantSpec::new(
-                "stuck",
-                TinyMlModel::MobileNetV2,
-                source(Scenario::LowConstant, 3, 0),
-            ))
+        // Refusing every load without consuming it must be detected,
+        // not spun on forever.
+        let mut server = solo(3, QosClass::default())
+            .admission(Always(AdmissionDecision::Defer))
             .build()
             .unwrap();
         assert!(matches!(server.run(), Err(ServerError::Stalled { .. })));
+    }
+
+    #[test]
+    fn a_merge_into_a_full_queue_is_an_error_not_a_lost_load() {
+        // Merging into a full queue breaks the `AdmitMerged` contract.
+        let merge = Always(AdmissionDecision::AdmitMerged { load: 1.0 });
+        let qos = QosClass::default().with_queue_cap(1);
+        let mut server = solo(3, qos).admission(merge).build().unwrap();
+        assert!(matches!(
+            server.run(),
+            Err(ServerError::MergeIntoFullQueue { tenant }) if tenant == TenantId(0)
+        ));
+        // The second load found the queue full: it was neither counted
+        // nor taken from the source.
+        let stats = server.stats()[0];
+        assert_eq!((stats.submitted, stats.admitted), (1, 1));
+        assert_eq!(server.tenants[0].pending.len(), 2);
+    }
+
+    #[test]
+    fn a_grant_failing_partway_counts_every_logged_slice() {
+        // One grant of all four queued slices; the backend fails the
+        // third, and a zero SLO misses every slice.
+        let qos = QosClass::default()
+            .with_priority(4)
+            .with_queue_cap(4)
+            .with_deadline(SimDuration::ZERO);
+        let mut server = solo(4, qos).build().unwrap();
+        server.tenants[0].engine = Engine::new(FailingBackend::new(2, 0)).with_queue_capacity(4);
+        assert!(matches!(server.run(), Err(ServerError::Tenant { .. })));
+        // Each logged slice ends with its QoS miss.
+        let logged = server
+            .events()
+            .filter(|e| matches!(e, ServerEvent::QosMiss { .. }))
+            .count();
+        let stats = server.stats()[0];
+        assert_eq!((logged, stats.executed, stats.missed), (2, 2, 2));
     }
 
     #[test]

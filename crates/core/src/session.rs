@@ -84,7 +84,6 @@ use crate::arch::Architecture;
 use crate::backend::{
     AnalyticBackend, BackendError, BackendKind, CycleBackend, ExecutionBackend, ExecutionReport,
 };
-use crate::compile::WeightHome;
 use crate::cost::{CostModelError, CostParams};
 use crate::dp::OptimizerConfig;
 use crate::engine::EngineError;
@@ -309,7 +308,6 @@ pub struct SessionBuilder {
     cost_params: Option<CostParams>,
     opt_config: Option<OptimizerConfig>,
     policy: Option<Box<dyn PlacementPolicy>>,
-    head_home: Option<WeightHome>,
     store: Option<Arc<PlacementStore>>,
     artifact_dir: Option<std::path::PathBuf>,
     threads: Option<usize>,
@@ -384,13 +382,6 @@ impl SessionBuilder {
     /// Placement-optimizer settings (LUT resolution etc.).
     pub fn optimizer(mut self, config: OptimizerConfig) -> Self {
         self.opt_config = Some(config);
-        self
-    }
-
-    /// Pins the cycle backend's bit-exact classifier head to one
-    /// memory technology (default: it follows the placement).
-    pub fn head_home(mut self, home: WeightHome) -> Self {
-        self.head_home = Some(home);
         self
     }
 
@@ -494,11 +485,7 @@ impl SessionBuilder {
     /// See [`SessionBuilder::build`].
     pub fn build_cycle(&self) -> Result<CycleBackend, SessionError> {
         let (_, model, _, _) = self.resolved();
-        Ok(CycleBackend::from_processor(
-            self.make_processor()?,
-            model,
-            self.head_home,
-        )?)
+        Ok(CycleBackend::from_processor(self.make_processor()?, model)?)
     }
 
     /// Builds one backend of the requested kind as a trait object —
@@ -563,7 +550,6 @@ impl SessionBuilder {
                     BackendKind::Cycle => backends.push(Box::new(CycleBackend::from_processor(
                         processor.clone(),
                         model,
-                        self.head_home,
                     )?)),
                 }
             }

@@ -8,7 +8,7 @@
 //! one), each slice is `submit`ted and `step`ped individually, a
 //! bounded queue backpressures the producer (`SubmitOutcome::Deferred`
 //! means "the machine is behind — step before submitting more"), and
-//! an `EngineObserver` watches the runtime's online decisions: LUT
+//! an `Observer` closure watches the runtime's online decisions: LUT
 //! re-placements, the migration traffic realizing them, idle windows
 //! the gating converts into leakage savings, and any deadline misses.
 //!

@@ -13,7 +13,7 @@
 //!
 //! A `ShedOnPressure` admission controller guards the SLOs, a
 //! deficit-round-robin scheduler shares the machine by priority, and a
-//! `ServerObserver` narrates the admission decisions as they happen.
+//! `Observer` closure narrates the admission decisions as they happen.
 //! Compare `host_driver` (one stream, no scheduling) and `quickstart`
 //! (the batch facade).
 //!

@@ -140,8 +140,8 @@ proptest! {
 }
 
 /// A dual-backend engine interleaves backends per slice; the reports
-/// must still match a dual-backend session run (which executes the
-/// same engine path) and the events must tag each backend correctly.
+/// must still match a dual-backend session run, and the events must
+/// tag each backend correctly and come slice by slice.
 #[test]
 fn dual_backend_engine_matches_dual_backend_session() {
     let trace = LoadTrace::generate(Scenario::PeriodicSpike, params(5, 11));
@@ -167,6 +167,23 @@ fn dual_backend_engine_matches_dual_backend_session() {
 
     // Both backends completed every slice, tagged with their kind.
     let events: Vec<EngineEvent> = engine.events().collect();
+    // Slice-major: all of the analytic backend's events for slice `s`,
+    // then the cycle backend's, then slice `s + 1`.
+    let order: Vec<(usize, bool)> = events
+        .iter()
+        .map(|e| {
+            let (backend, slice) = match e {
+                EngineEvent::SliceCompleted { backend, record } => (backend, record.slice),
+                EngineEvent::Migration { backend, record } => (backend, record.slice),
+                EngineEvent::Replacement { backend, slice, .. }
+                | EngineEvent::DeadlineMiss { backend, slice, .. }
+                | EngineEvent::IdleAccrued { backend, slice, .. } => (backend, *slice),
+                other => panic!("unexpected event {other:?}"),
+            };
+            (slice, *backend == BackendKind::Cycle)
+        })
+        .collect();
+    assert!(order.windows(2).all(|w| w[0] <= w[1]), "{order:?}");
     for kind in [BackendKind::Analytic, BackendKind::Cycle] {
         let completed = events
             .iter()

@@ -11,7 +11,9 @@
 //!    `max_starvation` by the other tenants' aggregate quantum, even
 //!    with adversarial queue capacities.
 
-use hhpim::server::{QosClass, ServerBuilder, ShedOnPressure, TenantSpec};
+use hhpim::server::{
+    BatchCoalesce, QosClass, ServerBuilder, ServerEvent, ShedOnPressure, TenantSpec,
+};
 use hhpim::session::{ScenarioSource, SessionBuilder};
 use hhpim::{BackendKind, FixedHome, GreedyBaseline, LutAdaptive, Server};
 use hhpim_nn::TinyMlModel;
@@ -311,4 +313,61 @@ fn reruns_are_bit_identical() {
         first.tenant("cam").unwrap().primary(),
         second.tenant("cam").unwrap().primary(),
     );
+}
+
+/// Count and FNV-1a digest of the events' `Debug` forms: the digest
+/// moves if any event, field or position in the sequence changes.
+fn signature(events: &[ServerEvent]) -> (usize, u64) {
+    let bytes = events.iter().flat_map(|e| format!("{e:?}").into_bytes());
+    let hash = bytes.fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    (events.len(), hash)
+}
+
+/// Three tenants with mixed priorities and queue caps and a 60 ms
+/// per-task SLO, which low-load MobileNetV2 slices miss.
+fn three_tenant_events(kind: BackendKind, coalesce: bool) -> Vec<ServerEvent> {
+    let mut builder = ServerBuilder::new().backend(kind).miss_window(4);
+    builder = if coalesce {
+        builder.admission(BatchCoalesce::new().with_pressure(1))
+    } else {
+        builder.admission(ShedOnPressure::new().with_min_samples(2))
+    };
+    let tenants = [
+        (TinyMlModel::MobileNetV2, Scenario::PeriodicSpike, 3, 2),
+        (TinyMlModel::ResNet18, Scenario::Random, 1, 3),
+        (TinyMlModel::EfficientNetB0, Scenario::HighLowPulsing, 2, 1),
+    ];
+    for (seed, (model, scenario, priority, queue_cap)) in tenants.into_iter().enumerate() {
+        let qos = QosClass {
+            deadline: SimDuration::from_ms(60),
+            priority,
+            queue_cap,
+            max_miss_rate: 0.5,
+        };
+        let source = ScenarioSource::new(scenario, params(8, seed as u64));
+        builder = builder.tenant(TenantSpec::new(format!("t{seed}"), model, source).qos(qos));
+    }
+    let mut server = builder.build().unwrap();
+    server.run().unwrap();
+    server.events().collect()
+}
+
+/// The full `ServerEvent` sequence of a three-tenant run on both
+/// backends, under shedding with SLO misses and under coalescing, is
+/// pinned: any change to an event, its fields or the order shows here.
+#[test]
+fn three_tenant_event_sequences_are_pinned() {
+    let pinned = [
+        (BackendKind::Analytic, false, (96, 8454390426507913500)),
+        (BackendKind::Analytic, true, (88, 14190989413505295679)),
+        (BackendKind::Cycle, false, (96, 7273042406993858888)),
+        (BackendKind::Cycle, true, (88, 14328680036508234322)),
+    ];
+    for (kind, coalesce, expected) in pinned {
+        let events = three_tenant_events(kind, coalesce);
+        let case = format!("{kind}, coalesce {coalesce}");
+        assert_eq!(signature(&events), expected, "{case}: {events:#?}");
+    }
 }
