@@ -107,7 +107,7 @@ fn cmd_measure(args: &[String]) -> Result<(), String> {
         .map(|s| s.parse().map_err(|_| "--samples must be an integer"))
         .transpose()?
         .unwrap_or(7);
-    let file = measure(samples);
+    let file = measure(samples)?;
     std::fs::write(&out, format_json(&file)).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "wrote {out} ({} benches, {} energies)",
@@ -117,7 +117,14 @@ fn cmd_measure(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn measure(samples: usize) -> GateFile {
+/// Measures every gate entry.
+///
+/// # Errors
+///
+/// Fails when a disk-warm sweep built a LUT instead of loading it. Its
+/// timing is a weak witness for that: the three DP builds a lost disk
+/// tier costs add only about 2 ms in release.
+fn measure(samples: usize) -> Result<GateFile, String> {
     let mut file = GateFile {
         calibration_ns: calibrate(),
         ..GateFile::default()
@@ -317,6 +324,7 @@ fn measure(samples: usize) -> GateFile {
         .unwrap()
         .sweep_all()
         .unwrap();
+    let mut disk_warm_stats = Vec::new();
     file.benches.insert(
         "sweep_all_disk_warm".into(),
         bench(samples, || {
@@ -330,10 +338,23 @@ fn measure(samples: usize) -> GateFile {
                 .artifact_dir(&artifact_dir)
                 .build()
                 .unwrap();
-            std::hint::black_box(session.sweep_all().unwrap())
+            let matrix = session.sweep_all().unwrap();
+            disk_warm_stats.push(session.cache_stats());
+            matrix
         }),
     );
     let _ = std::fs::remove_dir_all(&artifact_dir);
+    // The sweep-farm contract: a warm artifact dir serves every LUT.
+    if let Some(stats) = disk_warm_stats
+        .iter()
+        .find(|s| s.lut_builds > 0 || s.disk_hits == 0)
+    {
+        return Err(format!(
+            "sweep_all_disk_warm ran {} LUT builds and {} disk hits \
+             (want 0 builds and at least 1 disk hit)",
+            stats.lut_builds, stats.disk_hits
+        ));
+    }
 
     // engine_step_hot: the streaming engine's steady-state single-slice
     // step (submit + step on an already-open analytic stream), ×100 per
@@ -624,7 +645,7 @@ fn measure(samples: usize) -> GateFile {
         artifacts.primary().total_energy().as_pj(),
     );
 
-    file
+    Ok(file)
 }
 
 /// Trimmed-mean wall time (ns) of `routine`: after one untimed
@@ -934,7 +955,9 @@ mod tests {
 
     #[test]
     fn measure_produces_complete_file() {
-        let f = measure(1);
+        // Three samples per entry, so each is the median of three and
+        // one preempted sample cannot flip the ratio checks below.
+        let f = measure(3).unwrap();
         assert!(f.calibration_ns > 0.0);
         assert_eq!(f.benches.len(), 20);
         for key in [
@@ -978,9 +1001,10 @@ mod tests {
             f.benches["cycle_trace_6_slices_object"]
         );
         // A disk-warm sweep loads three LUT artifacts instead of DP
-        // solving them; the whole 18-cell sweep must stay within a
-        // small multiple of one cold DP build (loose enough for the
-        // unoptimized builds this self-test runs under).
+        // solving them (`measure` itself fails if it built any); the
+        // whole 18-cell sweep must stay within a small multiple of one
+        // cold DP build (loose enough for the unoptimized builds this
+        // self-test runs under).
         assert!(
             f.benches["sweep_all_disk_warm"] < f.benches["lut_build_cold"] * 3.0,
             "disk-warm sweep {} ns not within 3x cold build {} ns",

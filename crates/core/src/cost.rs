@@ -95,6 +95,14 @@ pub enum CostModelError {
         /// The offending placement.
         placement: crate::space::Placement,
     },
+    /// A [`CostParams`] or [`crate::OptimizerConfig`] field is outside
+    /// its domain.
+    InvalidParameter {
+        /// The offending field.
+        field: &'static str,
+        /// The domain the field must lie in.
+        requirement: &'static str,
+    },
 }
 
 impl core::fmt::Display for CostModelError {
@@ -109,6 +117,9 @@ impl core::fmt::Display for CostModelError {
             CostModelError::ZeroGroupSize => write!(f, "group size must be non-zero"),
             CostModelError::InvalidPlacement { placement } => {
                 write!(f, "placement {placement} is invalid for this architecture")
+            }
+            CostModelError::InvalidParameter { field, requirement } => {
+                write!(f, "`{field}` must be {requirement}")
             }
         }
     }
@@ -135,7 +146,8 @@ impl CostModel {
     /// # Errors
     ///
     /// Fails if the weights cannot fit in the architecture's placeable
-    /// memory, or the group size is zero.
+    /// memory, the group size or `max_tasks_per_slice` is zero, or
+    /// `time_scale` is not finite and positive.
     pub fn new(
         arch: ArchSpec,
         profile: WorkloadProfile,
@@ -143,6 +155,18 @@ impl CostModel {
     ) -> Result<Self, CostModelError> {
         if params.group_size == 0 {
             return Err(CostModelError::ZeroGroupSize);
+        }
+        if !(params.time_scale.is_finite() && params.time_scale > 0.0) {
+            return Err(CostModelError::InvalidParameter {
+                field: "time_scale",
+                requirement: "finite and positive",
+            });
+        }
+        if params.max_tasks_per_slice == 0 {
+            return Err(CostModelError::InvalidParameter {
+                field: "max_tasks_per_slice",
+                requirement: "at least 1",
+            });
         }
         let k_groups = profile.weight_bytes.div_ceil(params.group_size);
         let reuse = profile.reuse();

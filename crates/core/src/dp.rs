@@ -10,6 +10,12 @@
 //! * the recurrence implemented is exactly Eq. (2), including the
 //!   `count[i][t][k]` path-tracing array, which we additionally use to
 //!   enforce per-space capacity (finite banks);
+//! * Algorithm 2 reads each cluster's table only at the full budget
+//!   `t = buckets`, so Algorithm 1 is computed only on that row: each
+//!   of its cells is reached by walking the one chain of cells it
+//!   depends on, with the same additions in the same order as the full
+//!   table, so the LUTs are bit-identical to it at O(K) memory (see
+//!   `ClusterDp`);
 //! * `e_i` is per-task energy. When static amortization is enabled
 //!   (the default), `e_i = e_dyn_i + P_static_i · t_constraint`: a
 //!   weight resident in space *i* leaks for the task's whole time
@@ -74,105 +80,100 @@ pub struct OptimalPlacement {
     pub task_time: SimDuration,
 }
 
-/// Per-cluster DP table: Algorithm 1 over the cluster's `[MRAM, SRAM]`
-/// spaces.
+/// One cluster's Algorithm 1 instance over its `[MRAM, SRAM]` spaces:
+/// per-group times `t` in buckets (each ≥ 1), per-group energies `e_pj`
+/// in pJ and capacities `caps` in groups, under a budget of `buckets`,
+/// solved for group counts `0..=k_cap`.
+#[derive(Debug)]
+struct ClusterProblem {
+    k_cap: usize,
+    buckets: usize,
+    t: [usize; 2],
+    e_pj: [f64; 2],
+    caps: [usize; 2],
+}
+
+/// Algorithm 1 for one cluster, computed only on the row Algorithm 2
+/// reads: the full budget `t = buckets`, for every `k ≤ k_cap`.
 ///
-/// The table carries columns only up to `k_max` — the caller caps it
-/// at the cluster's capacity and (when a warm-start bound is known) at
-/// the largest group count whose energy could still beat the bound;
-/// columns beyond the cap are infeasible or provably suboptimal, so
+/// In the full table, the MRAM layer (layer 0) has a closed form:
+/// `dp0(t, k)` is `k` additions of `e_M`, one after another from
+/// `0.0`, with `k` groups in MRAM, when `k ≤ cap_M` and `k·t_M ≤ t`,
+/// and infeasible otherwise. A cell of the SRAM layer reads only
+/// `dp0` at its own `(t, k)` (the skip branch) and its own layer at
+/// `(t − t_S, k − 1)` (the add branch). So `(buckets, k)` depends on
+/// nothing but the chain `(buckets − j·t_S, k − j)`, and walking that
+/// chain bottom-up, with the recurrence's run count and comparisons,
+/// performs exactly the float additions the full table performs for
+/// those cells, in the same order. Energies and MRAM counts are
+/// therefore bit-identical to the full table, which the tests keep as
+/// the oracle, at `k_cap + 1` cells of memory and at most `k_cap²/2`
+/// steps instead of `(buckets + 1) × (k_cap + 1)` cells per layer.
+///
+/// Columns beyond `k_cap` are infeasible (the caller caps it at the
+/// cluster's capacity and at what fits the budget), so
 /// [`ClusterDp::energy_at`] answers `f64::INFINITY` for them without
-/// ever computing a cell.
+/// computing a cell; no cell's value depends on `k_cap`.
 #[derive(Debug, Clone)]
 struct ClusterDp {
-    k_max: usize,
-    /// `energy[t * (k_max+1) + k]`, pJ; `f64::INFINITY` = infeasible.
+    /// `energy[k]` at `t = buckets`, pJ; `f64::INFINITY` = infeasible.
     energy: Vec<f64>,
-    /// Groups placed in MRAM on the optimal path.
+    /// Groups placed in MRAM on the optimal path to `energy[k]`.
     mram: Vec<u32>,
 }
 
 impl ClusterDp {
-    #[inline]
-    fn idx(&self, t: usize, k: usize) -> usize {
-        t * (self.k_max + 1) + k
+    fn energy_at(&self, k: usize) -> f64 {
+        self.energy.get(k).copied().unwrap_or(f64::INFINITY)
     }
 
-    fn energy_at(&self, t: usize, k: usize) -> f64 {
-        if k > self.k_max {
-            return f64::INFINITY;
-        }
-        self.energy[self.idx(t, k)]
+    fn mram_at(&self, k: usize) -> u32 {
+        self.mram.get(k).copied().unwrap_or(0)
     }
 
-    fn mram_at(&self, t: usize, k: usize) -> u32 {
-        if k > self.k_max {
-            return 0;
+    fn solve(p: &ClusterProblem) -> Self {
+        let [t_m, t_s] = p.t;
+        let [e_m, e_s] = p.e_pj;
+        let [cap_m, cap_s] = p.caps;
+        // `mram_run[k]`: the k-fold sum every feasible `dp0(·, k)`
+        // holds. A sum that is not `< ∞` ends the run, as it loses the
+        // table's comparison against the infeasible skip branch.
+        let mut mram_run = vec![0.0];
+        while mram_run.len() <= p.k_cap.min(cap_m) {
+            let sum = mram_run[mram_run.len() - 1] + e_m;
+            if sum < f64::INFINITY {
+                mram_run.push(sum);
+            } else {
+                break;
+            }
         }
-        self.mram[self.idx(t, k)]
-    }
-
-    /// Algorithm 1 for one cluster.
-    ///
-    /// `spaces` are the cluster's `[MRAM, SRAM]`; `t_i` in buckets,
-    /// `e_i` in pJ, `cap_i` in groups.
-    fn build(
-        k_max: usize,
-        buckets: usize,
-        t_bucketed: [usize; 2],
-        e_pj: [f64; 2],
-        caps: [usize; 2],
-    ) -> Self {
-        let cells = (buckets + 1) * (k_max + 1);
-        // Layer i-1 = "no spaces considered": only k = 0 is feasible.
-        let mut prev_energy = vec![f64::INFINITY; cells];
-        let mut prev_mram = vec![0u32; cells];
-        for t in 0..=buckets {
-            prev_energy[t * (k_max + 1)] = 0.0;
-        }
-        let mut energy = prev_energy.clone();
-        let mut mram = prev_mram.clone();
-
-        for (i, ((ti, ei), cap)) in t_bucketed.into_iter().zip(e_pj).zip(caps).enumerate() {
-            // `count` of space-i selections on the optimal path, used both
-            // for path recovery and capacity enforcement.
-            let mut count = vec![0u32; cells];
-            energy.copy_from_slice(&prev_energy);
-            mram.copy_from_slice(&prev_mram);
-            for k in 1..=k_max {
-                for t in 0..=buckets {
-                    let cell = t * (k_max + 1) + k;
-                    // Skip branch: dp[i-1][t][k].
-                    let mut best = prev_energy[cell];
-                    let mut best_count = 0u32;
-                    let mut best_mram = prev_mram[cell];
-                    // Add-one branch: dp[i][t - ti][k - 1] + ei, guarded
-                    // by the time budget and the space capacity.
-                    if ti <= t {
-                        let pred = (t - ti) * (k_max + 1) + (k - 1);
-                        let pred_count = count[pred];
-                        if (pred_count as usize) < cap {
-                            let cand = energy[pred] + ei;
-                            if cand < best {
-                                best = cand;
-                                best_count = pred_count + 1;
-                                best_mram = if i == 0 { mram[pred] + 1 } else { mram[pred] };
-                            }
-                        }
-                    }
-                    energy[cell] = best;
-                    count[cell] = best_count;
-                    mram[cell] = best_mram;
+        let dp0 = |t: usize, k: usize| match mram_run.get(k) {
+            Some(&e) if k.saturating_mul(t_m) <= t => (e, k as u32),
+            _ => (f64::INFINITY, 0),
+        };
+        let depth = p.buckets / t_s;
+        let mut energy = Vec::with_capacity(p.k_cap + 1);
+        let mut mram = Vec::with_capacity(p.k_cap + 1);
+        for k in 0..=p.k_cap {
+            // The chain's first cell has no add branch (no time or no
+            // group left), so it takes the skip branch with a run of 0.
+            let top = k.min(depth);
+            let (mut e, mut m) = dp0(p.buckets - top * t_s, k - top);
+            let mut run = 0;
+            for j in (0..top).rev() {
+                let (skip_e, skip_m) = dp0(p.buckets - j * t_s, k - j);
+                let add = e + e_s;
+                if run < cap_s && add < skip_e {
+                    e = add;
+                    run += 1;
+                } else {
+                    (e, m, run) = (skip_e, skip_m, 0);
                 }
             }
-            prev_energy.copy_from_slice(&energy);
-            prev_mram.copy_from_slice(&mram);
+            energy.push(e);
+            mram.push(m);
         }
-        ClusterDp {
-            k_max,
-            energy,
-            mram,
-        }
+        ClusterDp { energy, mram }
     }
 }
 
@@ -252,32 +253,6 @@ impl<'a> PlacementOptimizer<'a> {
     /// Runs Algorithms 1 + 2 for one `t_constraint`; `None` when no
     /// placement can meet the deadline (the gray region of Fig. 6).
     pub fn optimize(&self, t_constraint: SimDuration) -> Option<OptimalPlacement> {
-        self.optimize_seeded(t_constraint, None)
-    }
-
-    /// [`PlacementOptimizer::optimize`] warm-started with a known-good
-    /// `seed` placement (typically the previous [`AllocationLut`]
-    /// entry): when the seed is feasible under the DP's own bucketed
-    /// arithmetic, its objective is a valid upper bound on the DP
-    /// optimum, which caps how many groups a single cluster could
-    /// possibly hold on any optimal path — shrinking the Algorithm 1
-    /// tables without changing any answer.
-    ///
-    /// The result is **provably identical** to the cold
-    /// [`PlacementOptimizer::optimize`]:
-    ///
-    /// * a DP-feasible seed guarantees the bucketed optimum's energy
-    ///   is ≤ the seed's (the seed is one of the states the tables
-    ///   cover), and per-group energies are non-negative, so every
-    ///   prefix of an optimal path stays ≤ the bound — no capped
-    ///   column can hold a cell of any optimal (or tied-optimal) path;
-    /// * a seed that is *not* DP-feasible contributes no bound and the
-    ///   cold path runs unchanged.
-    pub fn optimize_seeded(
-        &self,
-        t_constraint: SimDuration,
-        seed: Option<&Placement>,
-    ) -> Option<OptimalPlacement> {
         let k = self.cost.k_groups();
         if k == 0 {
             return Some(OptimalPlacement {
@@ -302,84 +277,23 @@ impl<'a> PlacementOptimizer<'a> {
             return None;
         }
 
-        let buckets = self.config.time_buckets.max(8);
-        let bucket_ps = (t_constraint.as_ps() / buckets as u64).max(1);
-        // Ceiling quantization: the DP never underestimates a group's
-        // time, so every recovered placement is exactly feasible (the
-        // boundary pessimism is absorbed by the fastest-placement
-        // candidate below).
-        let quantize =
-            |d: SimDuration| -> usize { (d.as_ps().div_ceil(bucket_ps) as usize).max(1) };
-
-        // Warm start: a seed that is valid and feasible under the DP's
-        // own ceiling-quantized times yields an upper bound (its exact
-        // Σ e_i·x_i, the same per-group energies the tables add) on the
-        // bucketed optimum.
-        let seed_bound = seed.and_then(|p| {
-            if !self.cost.is_valid(p) {
-                return None;
-            }
-            for cluster in ClusterClass::ALL {
-                let bucketed: usize = StorageSpace::of_cluster(cluster)
-                    .into_iter()
-                    .map(|s| quantize(self.cost.time_per_group(s)) * p.get(s))
-                    .sum();
-                if bucketed > buckets {
-                    return None;
-                }
-            }
-            let e: f64 = p
-                .occupied()
-                .map(|(s, n)| self.e_pj(s, t_constraint) * n as f64)
-                .sum();
-            Some(e)
-        });
-
-        let build_cluster = |cluster: ClusterClass| -> Option<ClusterDp> {
-            if self.cost.arch().modules_in(cluster) == 0 {
-                return None;
-            }
-            let [m, s] = StorageSpace::of_cluster(cluster);
-            let t_bucketed = [
-                quantize(self.cost.time_per_group(m)),
-                quantize(self.cost.time_per_group(s)),
-            ];
-            let e_pj = [self.e_pj(m, t_constraint), self.e_pj(s, t_constraint)];
-            let caps = [self.cost.capacity_groups(m), self.cost.capacity_groups(s)];
-            // Columns the cluster can never populate are not computed:
-            // beyond its capacity, beyond what fits the full time
-            // budget (every selection costs ≥ min(t_i) buckets), and —
-            // given a warm-start bound — beyond what the bound's energy
-            // allows (every selection costs ≥ min(e_i) pJ). All three
-            // caps only remove provably infeasible/suboptimal columns,
-            // so results are bit-identical to the uncapped build.
-            let mut k_cap = k.min(caps[0] + caps[1]);
-            k_cap = k_cap.min(buckets / t_bucketed[0].min(t_bucketed[1]).max(1));
-            if let Some(bound) = seed_bound {
-                let e_min = e_pj[0].min(e_pj[1]);
-                if e_min > 0.0 {
-                    let affordable = (bound * (1.0 + 1e-9) / e_min).floor();
-                    if affordable < k_cap as f64 {
-                        k_cap = affordable.max(0.0) as usize;
-                    }
-                }
-            }
-            Some(ClusterDp::build(k_cap, buckets, t_bucketed, e_pj, caps))
+        let solve = |cluster| {
+            self.cluster_problem(cluster, t_constraint)
+                .map(|p| ClusterDp::solve(&p))
         };
-        let hp = build_cluster(ClusterClass::HighPerformance);
-        let lp = build_cluster(ClusterClass::LowPower);
+        let hp = solve(ClusterClass::HighPerformance);
+        let lp = solve(ClusterClass::LowPower);
 
         // Algorithm 2: scan k_hp at the full budget t = buckets.
-        let t = buckets;
         let mut best: Option<(f64, Placement)> = None;
         match (&hp, &lp) {
             (Some(hp), Some(lp)) => {
                 for k_hp in 0..=k {
                     let k_lp = k - k_hp;
-                    let e = hp.energy_at(t, k_hp) + lp.energy_at(t, k_lp);
+                    let e = hp.energy_at(k_hp) + lp.energy_at(k_lp);
                     if e.is_finite() && best.as_ref().is_none_or(|(b, _)| e < *b) {
-                        let hp_m = hp.mram_at(t, k_hp) as usize;
-                        let lp_m = lp.mram_at(t, k_lp) as usize;
+                        let hp_m = hp.mram_at(k_hp) as usize;
+                        let lp_m = lp.mram_at(k_lp) as usize;
                         let placement =
                             Placement::from_counts([hp_m, k_hp - hp_m, lp_m, k_lp - lp_m]);
                         best = Some((e, placement));
@@ -387,9 +301,9 @@ impl<'a> PlacementOptimizer<'a> {
                 }
             }
             (Some(single), None) | (None, Some(single)) => {
-                let e = single.energy_at(t, k);
+                let e = single.energy_at(k);
                 if e.is_finite() {
-                    let m = single.mram_at(t, k) as usize;
+                    let m = single.mram_at(k) as usize;
                     let counts = if hp.is_some() {
                         [m, k - m, 0, 0]
                     } else {
@@ -421,6 +335,47 @@ impl<'a> PlacementOptimizer<'a> {
             energy_per_task: self.objective(&chosen, t_constraint),
             task_time: self.cost.task_time(&chosen),
             placement: chosen,
+        })
+    }
+
+    /// Algorithm 1's instance for `cluster` at `t_constraint`; `None`
+    /// when the architecture has no modules in that cluster.
+    fn cluster_problem(
+        &self,
+        cluster: ClusterClass,
+        t_constraint: SimDuration,
+    ) -> Option<ClusterProblem> {
+        if self.cost.arch().modules_in(cluster) == 0 {
+            return None;
+        }
+        let buckets = self.config.time_buckets.max(8);
+        let bucket_ps = (t_constraint.as_ps() / buckets as u64).max(1);
+        // Ceiling quantization: the DP never underestimates a group's
+        // time, so every recovered placement is exactly feasible (the
+        // boundary pessimism is absorbed by `optimize`'s
+        // fastest-placement candidate).
+        let quantize =
+            |d: SimDuration| -> usize { (d.as_ps().div_ceil(bucket_ps) as usize).max(1) };
+        let [m, s] = StorageSpace::of_cluster(cluster);
+        let t = [
+            quantize(self.cost.time_per_group(m)),
+            quantize(self.cost.time_per_group(s)),
+        ];
+        let caps = [self.cost.capacity_groups(m), self.cost.capacity_groups(s)];
+        // Columns the cluster can never populate are not solved: beyond
+        // its capacity, and beyond what fits the full time budget (every
+        // selection costs ≥ min(t_i) buckets).
+        let k_cap = self
+            .cost
+            .k_groups()
+            .min(caps[0] + caps[1])
+            .min(buckets / t[0].min(t[1]));
+        Some(ClusterProblem {
+            k_cap,
+            buckets,
+            t,
+            e_pj: [self.e_pj(m, t_constraint), self.e_pj(s, t_constraint)],
+            caps,
         })
     }
 
@@ -472,42 +427,18 @@ pub struct AllocationLut {
 
 impl AllocationLut {
     /// Builds the LUT for task counts `1..=max_tasks`, each with its
-    /// `t_constraint = usable_slice / n`, warm-starting every entry's
-    /// knapsack with the previous entry's placement (see
-    /// [`PlacementOptimizer::optimize_seeded`] — contents are provably
-    /// identical to the cold build, just cheaper).
+    /// `t_constraint = usable_slice / n`.
     pub fn build(
         optimizer: &PlacementOptimizer<'_>,
         usable_slice: SimDuration,
         max_tasks: u32,
     ) -> Self {
-        Self::build_with(optimizer, usable_slice, max_tasks, true)
-    }
-
-    /// [`AllocationLut::build`] with the warm start switchable —
-    /// `warm_start: false` runs every entry's DP cold (the reference
-    /// path the warm build is property-tested against).
-    pub fn build_with(
-        optimizer: &PlacementOptimizer<'_>,
-        usable_slice: SimDuration,
-        max_tasks: u32,
-        warm_start: bool,
-    ) -> Self {
-        let mut entries = Vec::with_capacity(max_tasks as usize);
-        let mut t_constraints = Vec::with_capacity(max_tasks as usize);
-        let mut seed: Option<Placement> = None;
-        for n in 1..=max_tasks {
-            let t_c = usable_slice / n as u64;
-            t_constraints.push(t_c);
-            let entry = optimizer.optimize_seeded(t_c, seed.as_ref());
-            if warm_start {
-                // Carry the last feasible placement forward; the next
-                // entry only uses it if it still fits its own bucketed
-                // budget.
-                seed = entry.as_ref().map(|e| e.placement).or(seed);
-            }
-            entries.push(entry);
-        }
+        let t_constraints: Vec<SimDuration> =
+            (1..=max_tasks).map(|n| usable_slice / n as u64).collect();
+        let entries = t_constraints
+            .iter()
+            .map(|&t_c| optimizer.optimize(t_c))
+            .collect();
         AllocationLut {
             entries,
             t_constraints,
@@ -626,6 +557,215 @@ mod tests {
             CostParams::default(),
         )
         .unwrap()
+    }
+
+    /// The full `(buckets+1) × (k_max+1)` Algorithm 1 table, the
+    /// reference [`ClusterDp::solve`]'s row walk is checked against.
+    /// Test-only: nothing outside this module builds it.
+    struct FullTable {
+        k_max: usize,
+        /// `energy[t * (k_max+1) + k]`, pJ; `f64::INFINITY` = infeasible.
+        energy: Vec<f64>,
+        /// Groups placed in MRAM on the optimal path.
+        mram: Vec<u32>,
+    }
+
+    impl FullTable {
+        /// Algorithm 1 for one cluster.
+        ///
+        /// `spaces` are the cluster's `[MRAM, SRAM]`; `t_i` in buckets,
+        /// `e_i` in pJ, `cap_i` in groups.
+        fn build(
+            k_max: usize,
+            buckets: usize,
+            t_bucketed: [usize; 2],
+            e_pj: [f64; 2],
+            caps: [usize; 2],
+        ) -> Self {
+            let cells = (buckets + 1) * (k_max + 1);
+            // Layer i-1 = "no spaces considered": only k = 0 is feasible.
+            let mut prev_energy = vec![f64::INFINITY; cells];
+            let mut prev_mram = vec![0u32; cells];
+            for t in 0..=buckets {
+                prev_energy[t * (k_max + 1)] = 0.0;
+            }
+            let mut energy = prev_energy.clone();
+            let mut mram = prev_mram.clone();
+
+            for (i, ((ti, ei), cap)) in t_bucketed.into_iter().zip(e_pj).zip(caps).enumerate() {
+                // `count` of space-i selections on the optimal path, used both
+                // for path recovery and capacity enforcement.
+                let mut count = vec![0u32; cells];
+                energy.copy_from_slice(&prev_energy);
+                mram.copy_from_slice(&prev_mram);
+                for k in 1..=k_max {
+                    for t in 0..=buckets {
+                        let cell = t * (k_max + 1) + k;
+                        // Skip branch: dp[i-1][t][k].
+                        let mut best = prev_energy[cell];
+                        let mut best_count = 0u32;
+                        let mut best_mram = prev_mram[cell];
+                        // Add-one branch: dp[i][t - ti][k - 1] + ei, guarded
+                        // by the time budget and the space capacity.
+                        if ti <= t {
+                            let pred = (t - ti) * (k_max + 1) + (k - 1);
+                            let pred_count = count[pred];
+                            if (pred_count as usize) < cap {
+                                let cand = energy[pred] + ei;
+                                if cand < best {
+                                    best = cand;
+                                    best_count = pred_count + 1;
+                                    best_mram = if i == 0 { mram[pred] + 1 } else { mram[pred] };
+                                }
+                            }
+                        }
+                        energy[cell] = best;
+                        count[cell] = best_count;
+                        mram[cell] = best_mram;
+                    }
+                }
+                prev_energy.copy_from_slice(&energy);
+                prev_mram.copy_from_slice(&mram);
+            }
+            FullTable {
+                k_max,
+                energy,
+                mram,
+            }
+        }
+    }
+
+    /// Asserts that the row walk equals the full table's `t = buckets`
+    /// row: energies bit for bit, MRAM counts exactly, and nothing
+    /// feasible beyond `k_cap`.
+    fn assert_walk_matches_full_table(p: &ClusterProblem) {
+        let full = FullTable::build(p.k_cap, p.buckets, p.t, p.e_pj, p.caps);
+        let walk = ClusterDp::solve(p);
+        let row = p.buckets * (full.k_max + 1);
+        for k in 0..=p.k_cap {
+            assert_eq!(
+                walk.energy_at(k).to_bits(),
+                full.energy[row + k].to_bits(),
+                "energy at k = {k} of {p:?}"
+            );
+            assert_eq!(
+                walk.mram_at(k),
+                full.mram[row + k],
+                "MRAM at k = {k} of {p:?}"
+            );
+        }
+        assert_eq!(walk.energy_at(p.k_cap + 1), f64::INFINITY);
+        assert_eq!(walk.mram_at(p.k_cap + 1), 0);
+    }
+
+    /// SplitMix64, the seeded generator of the random instances.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn row_walk_is_bit_identical_to_full_table_on_random_instances() {
+        let mut rng = SplitMix(0x5EED);
+        let (mut zero_cap, mut cap_below_k, mut slow_space) = (0, 0, 0);
+        for _ in 0..3_000 {
+            let buckets = 8 + rng.below(300);
+            let mut time = || match rng.below(10) {
+                0 => buckets + 1 + rng.below(20),
+                1..=5 => 1 + rng.below(8),
+                _ => 1 + rng.below(buckets),
+            };
+            let t = [time(), time()];
+            // Dyadic energies make add and skip tie exactly; the
+            // others are arbitrary doubles.
+            let mut energy = || match rng.below(3) {
+                0 => rng.below(4) as f64 * 0.5,
+                _ => rng.below(1 << 30) as f64 / 7.0e6,
+            };
+            let e_pj = [energy(), energy()];
+            let p = ClusterProblem {
+                k_cap: rng.below(60),
+                buckets,
+                t,
+                e_pj,
+                caps: [rng.below(70), rng.below(70)],
+            };
+            zero_cap += usize::from(p.caps.contains(&0));
+            cap_below_k += usize::from(p.caps.iter().any(|&c| c < p.k_cap));
+            slow_space += usize::from(p.t.iter().any(|&t| t > buckets));
+            assert_walk_matches_full_table(&p);
+        }
+        assert!(
+            zero_cap > 0 && cap_below_k > 0 && slow_space > 0,
+            "{zero_cap} zero caps, {cap_below_k} caps below k, {slow_space} t_i > buckets"
+        );
+    }
+
+    /// Checks the row walk against the full table on the cluster
+    /// problems `optimize` hands to the DP while building the 10-entry
+    /// LUTs of every architecture × model at each of `resolutions`.
+    /// Entries the relaxed optimum answers, or that nothing can meet,
+    /// never reach the DP. The slice (2–12 peak task times) rotates
+    /// across the (resolution, architecture, model) triples, so every
+    /// resolution sees every slice factor; the full product takes
+    /// minutes in the unoptimized test profile.
+    fn assert_walk_matches_on_lut_inputs(resolutions: &[usize]) {
+        let mut slice_factors = (2u64..=12).cycle();
+        let mut solved = 0;
+        for &buckets in resolutions {
+            for arch in Architecture::ALL {
+                for model in TinyMlModel::ALL {
+                    let cost = CostModel::new(
+                        arch.spec(),
+                        WorkloadProfile::from_spec(&model.spec()),
+                        CostParams::default(),
+                    )
+                    .unwrap();
+                    let opt = PlacementOptimizer::new(
+                        &cost,
+                        OptimizerConfig {
+                            time_buckets: buckets,
+                            ..OptimizerConfig::default()
+                        },
+                    );
+                    let slice_factor = slice_factors.next().expect("cycle never ends");
+                    let usable = cost.peak_task_time() * slice_factor;
+                    for n in 1..=10u64 {
+                        let t = usable / n;
+                        let relaxed = opt.relaxed_optimal(t);
+                        if (cost.task_time(&relaxed) <= t && cost.is_valid(&relaxed))
+                            || cost.task_time(&cost.fastest_placement()) > t
+                        {
+                            continue;
+                        }
+                        for cluster in ClusterClass::ALL {
+                            if let Some(p) = opt.cluster_problem(cluster, t) {
+                                assert_walk_matches_full_table(&p);
+                                solved += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(solved > 0, "no LUT entry reached the DP");
+    }
+
+    #[test]
+    fn row_walk_is_bit_identical_to_full_table_on_lut_inputs_at_ci_resolutions() {
+        assert_walk_matches_on_lut_inputs(&[150, 277, 401, 499]);
+    }
+
+    #[test]
+    fn row_walk_is_bit_identical_to_full_table_on_lut_inputs_at_default_resolution() {
+        assert_walk_matches_on_lut_inputs(&[OptimizerConfig::default().time_buckets]);
     }
 
     #[test]
@@ -767,57 +907,6 @@ mod tests {
             .find_map(|n| lut.lookup(n))
             .expect("some entry is feasible");
         assert_eq!(over.placement, largest_feasible.placement);
-    }
-
-    #[test]
-    fn warm_start_build_is_bit_identical_to_cold_build() {
-        // The warm start may only skip provably suboptimal work; every
-        // entry must come out identical to the cold reference, across
-        // dual- and single-cluster architectures and slice budgets
-        // spanning relaxed to infeasible entries.
-        for arch in Architecture::ALL {
-            let cost = CostModel::new(
-                arch.spec(),
-                WorkloadProfile::from_spec(&TinyMlModel::MobileNetV2.spec()),
-                CostParams::default(),
-            )
-            .unwrap();
-            let opt = PlacementOptimizer::new(
-                &cost,
-                OptimizerConfig {
-                    time_buckets: 400,
-                    ..OptimizerConfig::default()
-                },
-            );
-            for slice_factor in [3u64, 6, 11] {
-                let usable = cost.peak_task_time() * slice_factor;
-                let cold = AllocationLut::build_with(&opt, usable, 10, false);
-                let warm = AllocationLut::build_with(&opt, usable, 10, true);
-                assert_eq!(cold, warm, "{arch} ×{slice_factor}");
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_optimize_matches_unseeded_for_arbitrary_seeds() {
-        // Any seed — optimal, suboptimal, or infeasible — must leave
-        // the answer untouched.
-        let cost = effnet_cost();
-        let opt = PlacementOptimizer::new(&cost, OptimizerConfig::default());
-        let peak = cost.peak_task_time();
-        let seeds = [
-            cost.fastest_placement(),
-            opt.relaxed_optimal(peak),
-            Placement::all_in(StorageSpace::LpMram, cost.k_groups()),
-            Placement::all_in(StorageSpace::HpSram, cost.k_groups() * 2), // invalid
-        ];
-        for factor in [0.9, 1.0, 1.3, 2.0, 5.0] {
-            let t = peak.mul_f64(factor);
-            let cold = opt.optimize(t);
-            for seed in &seeds {
-                assert_eq!(cold, opt.optimize_seeded(t, Some(seed)), "×{factor}");
-            }
-        }
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl Processor {
     ///
     /// # Errors
     ///
-    /// Fails if the model's weights do not fit the architecture.
+    /// See [`Processor::with_policy`].
     pub fn with_params(
         arch: Architecture,
         model: TinyMlModel,
@@ -171,9 +171,12 @@ impl Processor {
     ///
     /// # Errors
     ///
-    /// Fails if the model's weights do not fit the architecture or the
-    /// policy rejects its configuration (e.g. an invalid pinned
-    /// placement).
+    /// Fails if the model's weights do not fit the architecture, a
+    /// calibration or optimizer parameter is outside its domain
+    /// ([`CostModelError::InvalidParameter`]: `time_scale` must be
+    /// finite and positive, `max_tasks_per_slice` at least 1,
+    /// `retention_factor` finite and non-negative), or the policy
+    /// rejects its configuration (e.g. an invalid pinned placement).
     pub fn with_policy(
         arch: Architecture,
         model: TinyMlModel,
@@ -212,6 +215,13 @@ impl Processor {
         let spec = arch.spec();
         let cost = CostModel::new(spec, profile, params)?;
         let runtime = RuntimeConfig::reference(model, params)?;
+        let retention = opt_config.retention_factor;
+        if !(retention.is_finite() && retention >= 0.0) {
+            return Err(CostModelError::InvalidParameter {
+                field: "retention_factor",
+                requirement: "finite and non-negative",
+            });
+        }
         policy.prepare(&cost, &runtime, &opt_config, store)?;
         let built = model.build();
         let total_macs: u64 = built

@@ -5,9 +5,7 @@
 
 use hhpim::session::SessionBuilder;
 use hhpim::{
-    mram_only_fastest, AllocationLut, Architecture, CostModel, CostParams, CycleBackend,
-    ExecutionBackend, FixedHome, OptimizerConfig, PlacementOptimizer, StorageSpace,
-    WorkloadProfile,
+    mram_only_fastest, Architecture, CycleBackend, ExecutionBackend, FixedHome, StorageSpace,
 };
 use hhpim_nn::TinyMlModel;
 use hhpim_workload::{LoadTrace, Scenario, ScenarioParams};
@@ -90,36 +88,5 @@ proptest! {
             b.energy.as_pj()
         );
         prop_assert!(a.time < b.time);
-    }
-
-    /// Satellite: warm-starting each LUT entry's knapsack with the
-    /// previous entry's placement is a pure optimization — table
-    /// contents are identical to the cold build for any architecture,
-    /// model, DP resolution and slice budget.
-    #[test]
-    fn warm_start_lut_contents_equal_cold_build(
-        arch in proptest::sample::select(Architecture::ALL.to_vec()),
-        model in proptest::sample::select(TinyMlModel::ALL.to_vec()),
-        buckets in 150usize..500,
-        slice_factor in 2u64..12,
-    ) {
-        let cost = CostModel::new(
-            arch.spec(),
-            WorkloadProfile::from_spec(&model.spec()),
-            CostParams::default(),
-        )
-        .unwrap();
-        let opt = PlacementOptimizer::new(
-            &cost,
-            OptimizerConfig { time_buckets: buckets, ..OptimizerConfig::default() },
-        );
-        let usable = cost.peak_task_time() * slice_factor;
-        let cold = AllocationLut::build_with(&opt, usable, 10, false);
-        let warm = AllocationLut::build_with(&opt, usable, 10, true);
-        prop_assert_eq!(
-            cold,
-            warm,
-            "warm-started LUT diverged ({arch}, {model}, {buckets} buckets, ×{slice_factor})"
-        );
     }
 }

@@ -12,10 +12,12 @@
 //!    with adversarial queue capacities.
 
 use hhpim::server::{
-    BatchCoalesce, QosClass, ServerBuilder, ServerEvent, ShedOnPressure, TenantSpec,
+    BatchCoalesce, QosClass, ServerBuilder, ServerError, ServerEvent, ShedOnPressure, TenantSpec,
 };
-use hhpim::session::{ScenarioSource, SessionBuilder};
-use hhpim::{BackendKind, FixedHome, GreedyBaseline, LutAdaptive, Server};
+use hhpim::session::{ScenarioSource, SessionBuilder, SessionError};
+use hhpim::{
+    BackendKind, CostModelError, FixedHome, GreedyBaseline, LutAdaptive, OptimizerConfig, Server,
+};
 use hhpim_nn::TinyMlModel;
 use hhpim_sim::SimDuration;
 use hhpim_workload::{Scenario, ScenarioParams};
@@ -313,6 +315,33 @@ fn reruns_are_bit_identical() {
         first.tenant("cam").unwrap().primary(),
         second.tenant("cam").unwrap().primary(),
     );
+}
+
+/// A NaN `retention_factor` used to panic inside the tenant's DP; the
+/// server reports it as the tenant's typed build error instead.
+#[test]
+fn out_of_domain_retention_factor_fails_the_tenant_build() {
+    let result = ServerBuilder::new()
+        .optimizer(OptimizerConfig {
+            retention_factor: f64::NAN,
+            ..OptimizerConfig::default()
+        })
+        .tenant(TenantSpec::new(
+            "cam",
+            TinyMlModel::MobileNetV2,
+            ScenarioSource::new(Scenario::PeriodicSpike, params(4, 1)),
+        ))
+        .build();
+    assert!(matches!(
+        result,
+        Err(ServerError::Build {
+            tenant,
+            error: SessionError::Cost(CostModelError::InvalidParameter {
+                field: "retention_factor",
+                ..
+            }),
+        }) if tenant == "cam"
+    ));
 }
 
 /// Count and FNV-1a digest of the events' `Debug` forms: the digest

@@ -128,6 +128,63 @@ fn invalid_pinned_placement_is_rejected() {
     ));
 }
 
+/// Builds and runs a periodic-spike session under `cost` and `opt`,
+/// asserting it fails with the typed error naming `field`, never a
+/// panic or an `Ok`.
+fn assert_rejects_parameter(cost: CostParams, opt: OptimizerConfig, field: &str) {
+    let result = SessionBuilder::new()
+        .scenario(Scenario::PeriodicSpike)
+        .scenario_params(params(4, 1))
+        .cost_params(cost)
+        .optimizer(opt)
+        .build()
+        .and_then(|mut session| session.run());
+    match result {
+        Err(SessionError::Cost(CostModelError::InvalidParameter { field: f, .. })) => {
+            assert_eq!(f, field)
+        }
+        other => panic!("expected `{field}` to be rejected, got {other:?}"),
+    }
+}
+
+/// A NaN or negative `retention_factor` used to panic inside the DP
+/// ("scale factor must be finite and non-negative").
+#[test]
+fn out_of_domain_retention_factor_is_a_typed_error() {
+    for retention_factor in [f64::NAN, -1.0] {
+        let opt = OptimizerConfig {
+            retention_factor,
+            ..OptimizerConfig::default()
+        };
+        assert_rejects_parameter(CostParams::default(), opt, "retention_factor");
+    }
+}
+
+/// A NaN or negative `time_scale` used to panic in the cost model
+/// ("duration must be finite and non-negative"), and a zero one built
+/// a session reporting 0 pJ.
+#[test]
+fn out_of_domain_time_scale_is_a_typed_error() {
+    for time_scale in [f64::NAN, -1.0, 0.0] {
+        let cost = CostParams {
+            time_scale,
+            ..CostParams::default()
+        };
+        assert_rejects_parameter(cost, OptimizerConfig::default(), "time_scale");
+    }
+}
+
+/// A zero `max_tasks_per_slice` used to panic while quantizing loads
+/// ("min > max").
+#[test]
+fn zero_max_tasks_per_slice_is_a_typed_error() {
+    let cost = CostParams {
+        max_tasks_per_slice: 0,
+        ..CostParams::default()
+    };
+    assert_rejects_parameter(cost, OptimizerConfig::default(), "max_tasks_per_slice");
+}
+
 /// Acceptance: all three placement policies are selectable at build
 /// time and flow through both backends of one session.
 #[test]
