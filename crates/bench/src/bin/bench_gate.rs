@@ -17,15 +17,18 @@
 //!   regresses when it exceeds `baseline × (1 + threshold) ×
 //!   calibration_ratio`.
 //! * `energies` — total modelled energy (pJ) per scenario. These are
-//!   deterministic model outputs; they fail on >2 % drift in either
-//!   direction (an unexplained energy change is a model regression
-//!   even when it "improves").
+//!   deterministic model outputs built from `+ − × ÷` alone (no
+//!   `ln`/`exp` reaches them), so they must equal the baseline bit for
+//!   bit: a change of one ULP in either direction fails (an
+//!   unexplained energy change is a model regression even when it
+//!   "improves").
 //!
 //! `inject` exists so CI can prove the gate trips: it scales every
-//! bench entry and perturbs every energy entry, and the workflow
-//! asserts `compare` fails against the doctored file. To refresh the
-//! checked-in baseline after an intentional change, run `measure` on
-//! the reference machine and commit the output (see `docs/ci.md`).
+//! bench entry and moves every energy entry up one ULP, and the
+//! workflow asserts `compare` fails against the doctored file. To
+//! refresh the checked-in baseline after an intentional change, run
+//! `measure` on the reference machine and commit the output (see
+//! `docs/ci.md`).
 
 use hhpim::engine::Engine;
 use hhpim::server::{QosClass, Server, ShedOnPressure, TenantSpec};
@@ -47,8 +50,6 @@ use std::time::Instant;
 
 /// Version of the gate-file layout, written as its `schema` field.
 const GATE_SCHEMA: u32 = 1;
-/// Relative tolerance for the deterministic energy entries.
-const ENERGY_TOLERANCE: f64 = 0.02;
 /// Default timing regression threshold (the CI contract: >20 % fails).
 const DEFAULT_THRESHOLD: f64 = 0.20;
 /// Calibration ratios are clamped to this band: a slower machine
@@ -310,8 +311,8 @@ fn measure(samples: usize) -> Result<GateFile, String> {
     // sweep_all_disk_warm: the full 6×3 savings matrix on a fresh
     // in-memory store backed by a pre-warmed artifact dir — every LUT
     // comes off disk through the verify ladder, zero DP builds. This
-    // is the cold-process/warm-dir path the sweep farm's second run
-    // exercises.
+    // is the path a second process over a populated artifact dir
+    // takes.
     SessionBuilder::new()
         .scenario_params(ScenarioParams {
             slices: 12,
@@ -344,7 +345,8 @@ fn measure(samples: usize) -> Result<GateFile, String> {
         }),
     );
     let _ = std::fs::remove_dir_all(&artifact_dir);
-    // The sweep-farm contract: a warm artifact dir serves every LUT.
+    // The warm-dir contract: a populated artifact dir serves every
+    // LUT, so a fast timing cannot hide a silent rebuild.
     if let Some(stats) = disk_warm_stats
         .iter()
         .find(|s| s.lut_builds > 0 || s.disk_hits == 0)
@@ -710,11 +712,10 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     }
     if failures.is_empty() {
         println!(
-            "bench gate passed: {} benches within {:.0}%, {} energies within {:.0}%",
+            "bench gate passed: {} benches within {:.0}%, {} energies bit-identical",
             current.benches.len(),
             threshold * 100.0,
-            current.energies.len(),
-            ENERGY_TOLERANCE * 100.0
+            current.energies.len()
         );
         Ok(())
     } else {
@@ -751,11 +752,9 @@ fn compare(baseline: &GateFile, current: &GateFile, threshold: f64) -> Vec<Strin
         match current.energies.get(name) {
             None => failures.push(format!("energy `{name}` missing from current run")),
             Some(cur) => {
-                let rel = (cur - base).abs() / base.abs().max(f64::MIN_POSITIVE);
-                if rel > ENERGY_TOLERANCE {
+                if cur.to_bits() != base.to_bits() {
                     failures.push(format!(
-                        "energy `{name}`: {cur:.3e} pJ drifted {:.2}% from baseline {base:.3e} pJ",
-                        rel * 100.0
+                        "energy `{name}`: {cur:?} pJ differs from baseline {base:?} pJ"
                     ));
                 }
             }
@@ -773,16 +772,23 @@ fn cmd_inject(args: &[String]) -> Result<(), String> {
         .ok_or("inject requires --scale F")?
         .parse()
         .map_err(|_| "--scale must be a number")?;
-    let mut file = read_gate_file(&input)?;
-    for v in file.benches.values_mut() {
+    let file = inject(&read_gate_file(&input)?, scale);
+    std::fs::write(&out, format_json(&file)).map_err(|e| format!("writing {out}: {e}"))?;
+    println!("wrote doctored gate file to {out} (benches ×{scale}, energies +1 ULP)");
+    Ok(())
+}
+
+/// `file` with every bench scaled by `scale` and every energy moved to
+/// the next representable value above it.
+fn inject(file: &GateFile, scale: f64) -> GateFile {
+    let mut out = file.clone();
+    for v in out.benches.values_mut() {
         *v *= scale;
     }
-    for v in file.energies.values_mut() {
-        *v *= 1.0 + ENERGY_TOLERANCE * 2.0;
+    for v in out.energies.values_mut() {
+        *v = f64::from_bits(v.to_bits() + 1);
     }
-    std::fs::write(&out, format_json(&file)).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote doctored gate file to {out} (benches ×{scale})");
-    Ok(())
+    out
 }
 
 // ------------------------------------------------------------------ JSON
@@ -918,12 +924,13 @@ mod tests {
     #[test]
     fn compare_fails_injected_regression() {
         let base = sample();
-        let mut bad = sample();
-        for v in bad.benches.values_mut() {
-            *v *= 1.5; // > 20 % slower
-        }
+        let bad = inject(&base, 1.5); // > 20 % slower
         let failures = compare(&base, &bad, DEFAULT_THRESHOLD);
-        assert_eq!(failures.len(), bad.benches.len(), "{failures:?}");
+        assert_eq!(
+            failures.len(),
+            bad.benches.len() + bad.energies.len(),
+            "{failures:?}"
+        );
     }
 
     #[test]
@@ -951,6 +958,14 @@ mod tests {
         cur.benches.remove("a");
         let failures = compare(&base, &cur, DEFAULT_THRESHOLD);
         assert_eq!(failures.len(), 2, "{failures:?}");
+        // Energies compare exactly: one ULP either way is drift.
+        let bits = base.energies["e1"].to_bits();
+        for one_ulp in [bits + 1, bits - 1] {
+            let mut cur = sample();
+            cur.energies.insert("e1".into(), f64::from_bits(one_ulp));
+            let failures = compare(&base, &cur, DEFAULT_THRESHOLD);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+        }
     }
 
     #[test]

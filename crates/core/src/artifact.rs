@@ -1,11 +1,10 @@
 //! Persistent placement artifacts: the on-disk tier under the
-//! [`crate::PlacementStore`] and the interchange format of the sharded
-//! sweep executor.
+//! [`crate::PlacementStore`].
 //!
-//! The §III-B allocation LUT is the expensive, reusable product of
-//! Algorithms 1+2 — but the store's memoization (PR 4) dies with the
-//! process, so every worker, CI run and sweep shard used to recompute
-//! the same tables. This module makes the DP survive the process:
+//! The §III-B allocation LUT is the reusable product of Algorithms
+//! 1+2 — but the store's memoization dies with the process, so every
+//! process would recompute the same tables. This module makes the DP
+//! survive the process:
 //!
 //! ```text
 //!  PlacementStore::lut(key)
@@ -35,19 +34,11 @@
 //!   build that was saved; any torn, truncated or bit-flipped file
 //!   surfaces as a typed [`ArtifactError`] and the store falls through
 //!   to a rebuild.
-//! * **Atomic writes.** [`ArtifactStore::save_lut`] and
-//!   [`SweepArtifact::save`] write to a unique temp file in the target
-//!   directory and `rename` into place, so concurrent writers (the
-//!   `sweep_farm` worker processes) never tear a file — the last
-//!   complete write wins, and every complete write of one key has
-//!   identical contents.
-//!
-//! [`SweepArtifact`] is the shard interchange format of the sharded
-//! sweep executor: `sweep_farm` workers persist
-//! [`crate::session::Session::sweep_shard`] outputs, and
-//! [`SweepArtifact::merge`] recombines them — validating the shard
-//! cover — into one report bit-identical to the serial
-//! [`crate::session::Session::sweep_all`].
+//! * **Atomic writes.** [`ArtifactStore::save_lut`] writes to a unique
+//!   temp file in the target directory and `rename`s it into place, so
+//!   concurrent writers (threads of one process, or processes sharing
+//!   an artifact dir) never tear a file — the last complete write
+//!   wins, and every complete write of one key has identical contents.
 //!
 //! # Examples
 //!
@@ -84,14 +75,11 @@
 //! ```
 
 use crate::dp::{AllocationLut, OptimalPlacement};
-use crate::experiment::{SavingsCell, SavingsMatrix};
 use crate::space::{Placement, StorageSpace};
 use crate::store::PlacementKey;
 use hhpim_mem::Energy;
-use hhpim_nn::TinyMlModel;
 use hhpim_sim::SimDuration;
 use hhpim_workload::json::{quote, ParseError, Reader};
-use hhpim_workload::Scenario;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,10 +91,8 @@ pub const ARTIFACT_FORMAT_VERSION: u32 = 1;
 
 /// Format tag of a persisted allocation LUT.
 const LUT_FORMAT: &str = "hhpim-lut-artifact";
-/// Format tag of a persisted sweep shard / merged sweep report.
-const SWEEP_FORMAT: &str = "hhpim-sweep-artifact";
 
-/// Why an artifact could not be saved, loaded or merged. Every load
+/// Why an artifact could not be saved or loaded. Every load
 /// failure is typed so the [`crate::PlacementStore`] disk tier can
 /// fall through to a rebuild — corruption is never a panic and never
 /// serves stale data.
@@ -152,12 +138,6 @@ pub enum ArtifactError {
         /// The OS error, stringified.
         message: String,
     },
-    /// Shard outputs do not form a complete, non-overlapping cover
-    /// (merge-time validation).
-    Shard {
-        /// What was wrong with the shard set.
-        message: String,
-    },
 }
 
 impl fmt::Display for ArtifactError {
@@ -179,7 +159,6 @@ impl fmt::Display for ArtifactError {
                 "artifact key mismatch: requested `{expected}`, file contains `{found}`"
             ),
             ArtifactError::Io { path, message } => write!(f, "artifact io on {path}: {message}"),
-            ArtifactError::Shard { message } => write!(f, "sweep shard merge: {message}"),
         }
     }
 }
@@ -242,24 +221,6 @@ fn lut_digest(key: &str, lut: &AllocationLut) -> u64 {
                 fnv_u64(&mut hash, p.task_time.as_ps());
             }
         }
-    }
-    hash
-}
-
-/// Checksum of a sweep payload: shard coordinates plus every cell's
-/// identity and exact savings bit patterns (stats are informational
-/// and excluded, so warm and cold runs of the same grid produce
-/// byte-identical merged reports).
-fn sweep_digest(shard_index: usize, shard_count: usize, cells: &[SavingsCell]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    fnv_u64(&mut hash, shard_index as u64);
-    fnv_u64(&mut hash, shard_count as u64);
-    for cell in cells {
-        fnv_u64(&mut hash, cell.scenario.case_number() as u64);
-        fnv1a(&mut hash, cell.model.to_string().as_bytes());
-        fnv_u64(&mut hash, cell.vs_baseline.to_bits());
-        fnv_u64(&mut hash, cell.vs_heterogeneous.to_bits());
-        fnv_u64(&mut hash, cell.vs_hybrid.to_bits());
     }
     hash
 }
@@ -422,8 +383,8 @@ fn io_err(path: &Path, e: std::io::Error) -> ArtifactError {
 /// Writes `contents` to `path` atomically: create the parent dir,
 /// write a process-and-sequence-unique temp file next to the target,
 /// then `rename` into place. Readers see either the old complete file
-/// or the new complete file, never a torn prefix — the contract the
-/// `sweep_farm` worker processes rely on.
+/// or the new complete file, never a torn prefix — the contract
+/// concurrent writers sharing an artifact dir rely on.
 fn write_atomic(path: &Path, contents: &str) -> Result<(), ArtifactError> {
     let dir = path
         .parent()
@@ -534,268 +495,6 @@ impl ArtifactStore {
 }
 
 // --------------------------------------------------------------------
-// Sweep shard interchange.
-// --------------------------------------------------------------------
-
-/// Cache-counter summary a `sweep_farm` worker attaches to its shard
-/// output ([`crate::CacheStats`], reduced to the disk-tier facts the
-/// farm driver asserts on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SweepStats {
-    /// LUT DP builds the worker performed (0 on a warm artifact dir).
-    pub lut_builds: u64,
-    /// Memory misses the worker served from the artifact dir.
-    pub disk_hits: u64,
-    /// Fresh builds the worker wrote back.
-    pub disk_writes: u64,
-}
-
-/// One sweep shard's output (or a merged full report) in the
-/// versioned on-disk form: which slice `[shard_index, shard_count]`
-/// of the deterministic sweep partition these cells are, the cells
-/// themselves, and optionally the worker's [`SweepStats`].
-///
-/// Stats are excluded from the checksum and from merged reports, so
-/// two runs of the same grid — cold or warm — produce byte-identical
-/// merged files.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepArtifact {
-    /// Which shard of the partition this is (0-based).
-    pub shard_index: usize,
-    /// How many shards the partition has (a merged report is `0` of
-    /// `1`).
-    pub shard_count: usize,
-    /// The shard's cells, in [`crate::session::Session::sweep_shard`]
-    /// pair order.
-    pub matrix: SavingsMatrix,
-    /// The producing worker's cache counters, if recorded.
-    pub stats: Option<SweepStats>,
-}
-
-impl SweepArtifact {
-    /// Wraps shard `index` of `count`'s matrix (no stats).
-    pub fn new(shard_index: usize, shard_count: usize, matrix: SavingsMatrix) -> Self {
-        SweepArtifact {
-            shard_index,
-            shard_count,
-            matrix,
-            stats: None,
-        }
-    }
-
-    /// Renders the versioned on-disk JSON form (savings via `{:?}`
-    /// shortest round-trip, so a reload is bit-identical).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"format\": \"{SWEEP_FORMAT}\",\n"));
-        out.push_str(&format!("  \"version\": {ARTIFACT_FORMAT_VERSION},\n"));
-        out.push_str(&format!(
-            "  \"shard\": [{}, {}],\n",
-            self.shard_index, self.shard_count
-        ));
-        out.push_str(&format!(
-            "  \"checksum\": {},\n",
-            sweep_digest(self.shard_index, self.shard_count, &self.matrix.cells)
-        ));
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.matrix.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    [{}, {}, {:?}, {:?}, {:?}]",
-                cell.scenario.case_number(),
-                quote(&cell.model.to_string()),
-                cell.vs_baseline,
-                cell.vs_heterogeneous,
-                cell.vs_hybrid
-            ));
-            if i + 1 < self.matrix.cells.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]");
-        if let Some(stats) = self.stats {
-            out.push_str(&format!(
-                ",\n  \"stats\": [{}, {}, {}]",
-                stats.lut_builds, stats.disk_hits, stats.disk_writes
-            ));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Parses a sweep artifact, verifying well-formedness, schema
-    /// version and payload checksum (same ladder as
-    /// [`lut_from_json`], minus the key check — shard identity is in
-    /// the payload).
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Parse`] / [`ArtifactError::Version`] /
-    /// [`ArtifactError::Checksum`].
-    pub fn from_json(text: &str) -> Result<Self, ArtifactError> {
-        let mut r = Reader::new(text.as_bytes());
-        let mut format: Option<String> = None;
-        let mut version: Option<u32> = None;
-        let mut shard: Option<(usize, usize)> = None;
-        let mut checksum: Option<u64> = None;
-        let mut cells: Option<Vec<SavingsCell>> = None;
-        let mut stats: Option<SweepStats> = None;
-        r.object(|r, field| {
-            match field {
-                "format" => format = Some(r.string()?),
-                "version" => version = Some(r.int::<u32>()?),
-                "shard" => {
-                    r.expect(b'[')?;
-                    let index = r.int::<usize>()?;
-                    r.expect(b',')?;
-                    let count = r.int::<usize>()?;
-                    r.expect(b']')?;
-                    shard = Some((index, count));
-                }
-                "checksum" => checksum = Some(r.int::<u64>()?),
-                "cells" => {
-                    let mut out = Vec::new();
-                    r.array(|r| {
-                        out.push(sweep_cell(r)?);
-                        Ok(())
-                    })?;
-                    cells = Some(out);
-                }
-                "stats" => {
-                    r.expect(b'[')?;
-                    let lut_builds = r.int::<u64>()?;
-                    r.expect(b',')?;
-                    let disk_hits = r.int::<u64>()?;
-                    r.expect(b',')?;
-                    let disk_writes = r.int::<u64>()?;
-                    r.expect(b']')?;
-                    stats = Some(SweepStats {
-                        lut_builds,
-                        disk_hits,
-                        disk_writes,
-                    });
-                }
-                other => return Err(r.error(format!("unknown field `{other}`"))),
-            }
-            Ok(())
-        })?;
-        r.end()?;
-
-        if format.as_deref() != Some(SWEEP_FORMAT) {
-            return Err(r.error(format!("not a `{SWEEP_FORMAT}` file")).into());
-        }
-        let found = version.ok_or_else(|| r.error("missing `version`"))?;
-        if found != ARTIFACT_FORMAT_VERSION {
-            return Err(ArtifactError::Version {
-                found,
-                supported: ARTIFACT_FORMAT_VERSION,
-            });
-        }
-        let (shard_index, shard_count) = shard.ok_or_else(|| r.error("missing `shard`"))?;
-        let recorded = checksum.ok_or_else(|| r.error("missing `checksum`"))?;
-        let cells = cells.ok_or_else(|| r.error("missing `cells`"))?;
-        let computed = sweep_digest(shard_index, shard_count, &cells);
-        if computed != recorded {
-            return Err(ArtifactError::Checksum {
-                expected: recorded,
-                found: computed,
-            });
-        }
-        Ok(SweepArtifact {
-            shard_index,
-            shard_count,
-            matrix: SavingsMatrix { cells },
-            stats,
-        })
-    }
-
-    /// Saves with the same atomic write-rename contract as
-    /// [`ArtifactStore::save_lut`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`].
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
-        write_atomic(path.as_ref(), &self.to_json())
-    }
-
-    /// Loads and verifies one artifact file.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] plus the [`SweepArtifact::from_json`]
-    /// verification errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-        Self::from_json(&text)
-    }
-
-    /// Recombines shard outputs into one merged report, in shard
-    /// order — bit-identical to the serial sweep that the partition
-    /// was cut from. Validates the cover first: every shard must
-    /// agree on `shard_count`, and the indices must be exactly
-    /// `0..shard_count`, each once (any order in `shards` is fine).
-    /// Stats sum when every shard carries them, else drop.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Shard`] naming the missing, duplicate or
-    /// disagreeing shard.
-    pub fn merge(shards: &[SweepArtifact]) -> Result<SweepArtifact, ArtifactError> {
-        let shard_err = |message: String| ArtifactError::Shard { message };
-        let first = shards
-            .first()
-            .ok_or_else(|| shard_err("no shards to merge".into()))?;
-        let count = first.shard_count;
-        if shards.len() != count {
-            return Err(shard_err(format!(
-                "partition declares {count} shards but {} were provided",
-                shards.len()
-            )));
-        }
-        let mut ordered: Vec<&SweepArtifact> = shards.iter().collect();
-        ordered.sort_by_key(|s| s.shard_index);
-        for (i, s) in ordered.iter().enumerate() {
-            if s.shard_count != count {
-                return Err(shard_err(format!(
-                    "shard {} declares {} shards, expected {count}",
-                    s.shard_index, s.shard_count
-                )));
-            }
-            if s.shard_index != i {
-                return Err(shard_err(format!(
-                    "shard index {i} is missing or duplicated (found {})",
-                    s.shard_index
-                )));
-            }
-        }
-        let cells: Vec<SavingsCell> = ordered
-            .iter()
-            .flat_map(|s| s.matrix.cells.iter().copied())
-            .collect();
-        let stats = ordered
-            .iter()
-            .map(|s| s.stats)
-            .collect::<Option<Vec<_>>>()
-            .map(|all| {
-                all.iter().fold(SweepStats::default(), |acc, s| SweepStats {
-                    lut_builds: acc.lut_builds + s.lut_builds,
-                    disk_hits: acc.disk_hits + s.disk_hits,
-                    disk_writes: acc.disk_writes + s.disk_writes,
-                })
-            });
-        Ok(SweepArtifact {
-            shard_index: 0,
-            shard_count: 1,
-            matrix: SavingsMatrix { cells },
-            stats,
-        })
-    }
-}
-
-// --------------------------------------------------------------------
 // Schema pieces read through `hhpim_workload::json`.
 // --------------------------------------------------------------------
 
@@ -827,35 +526,6 @@ fn lut_entry(r: &mut Reader) -> Result<Option<OptimalPlacement>, ParseError> {
     }))
 }
 
-/// `[case_number, "model", vs_baseline, vs_heterogeneous, vs_hybrid]`.
-fn sweep_cell(r: &mut Reader) -> Result<SavingsCell, ParseError> {
-    r.expect(b'[')?;
-    let case = r.int::<usize>()?;
-    let scenario = *Scenario::ALL
-        .get(case.wrapping_sub(1))
-        .ok_or_else(|| r.error(format!("case {case} is out of range 1..=6")))?;
-    r.expect(b',')?;
-    let name = r.string()?;
-    let model = *TinyMlModel::ALL
-        .iter()
-        .find(|m| m.to_string() == name)
-        .ok_or_else(|| r.error(format!("unknown model `{name}`")))?;
-    r.expect(b',')?;
-    let vs_baseline = r.f64()?;
-    r.expect(b',')?;
-    let vs_heterogeneous = r.f64()?;
-    r.expect(b',')?;
-    let vs_hybrid = r.f64()?;
-    r.expect(b']')?;
-    Ok(SavingsCell {
-        scenario,
-        model,
-        vs_baseline,
-        vs_heterogeneous,
-        vs_hybrid,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,6 +533,7 @@ mod tests {
     use crate::cost::{CostModel, CostParams, WorkloadProfile};
     use crate::dp::{OptimizerConfig, PlacementOptimizer};
     use crate::runtime::RuntimeConfig;
+    use hhpim_nn::TinyMlModel;
 
     fn fixture(buckets: usize) -> (PlacementKey, AllocationLut) {
         let params = CostParams::default();
@@ -915,12 +586,6 @@ mod tests {
         let lut_text = lut_to_json(&key, &lut).replace("\"version\": 1", wrapped);
         assert!(matches!(
             lut_from_json(&key, &lut_text),
-            Err(ArtifactError::Parse { .. })
-        ));
-        let sweep = SweepArtifact::new(0, 1, SavingsMatrix { cells: Vec::new() });
-        let sweep_text = sweep.to_json().replace("\"version\": 1", wrapped);
-        assert!(matches!(
-            SweepArtifact::from_json(&sweep_text),
             Err(ArtifactError::Parse { .. })
         ));
     }
@@ -983,47 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_artifact_round_trips_and_merges() {
-        let cell = |case: usize, b: f64| SavingsCell {
-            scenario: Scenario::ALL[case - 1],
-            model: TinyMlModel::MobileNetV2,
-            vs_baseline: b,
-            vs_heterogeneous: b / 2.0,
-            vs_hybrid: b / 3.0,
-        };
-        let a = SweepArtifact::new(
-            0,
-            2,
-            SavingsMatrix {
-                cells: vec![cell(1, 10.0)],
-            },
-        );
-        let b = SweepArtifact::new(
-            1,
-            2,
-            SavingsMatrix {
-                cells: vec![cell(2, 20.0)],
-            },
-        );
-        let reloaded = SweepArtifact::from_json(&a.to_json()).unwrap();
-        assert_eq!(a, reloaded);
-        // Merge accepts any order and reassembles shard order.
-        let merged = SweepArtifact::merge(&[b.clone(), a.clone()]).unwrap();
-        assert_eq!(merged.matrix.cells.len(), 2);
-        assert_eq!(merged.matrix.cells[0], cell(1, 10.0));
-        assert_eq!((merged.shard_index, merged.shard_count), (0, 1));
-        // Incomplete and duplicated covers are typed errors.
-        assert!(matches!(
-            SweepArtifact::merge(std::slice::from_ref(&a)).unwrap_err(),
-            ArtifactError::Shard { .. }
-        ));
-        assert!(matches!(
-            SweepArtifact::merge(&[a.clone(), a]).unwrap_err(),
-            ArtifactError::Shard { .. }
-        ));
-    }
-
-    #[test]
     fn store_paths_are_stable_and_keyed() {
         let (key, _) = fixture(120);
         let store = ArtifactStore::new("/tmp/somewhere");
@@ -1060,9 +684,6 @@ mod tests {
             ArtifactError::Io {
                 path: "p".into(),
                 message: "m".into(),
-            },
-            ArtifactError::Shard {
-                message: "gap".into(),
             },
         ];
         for e in cases {

@@ -3,9 +3,8 @@
 //! scenarios and models.
 //!
 //! The matrix is produced by [`crate::session::Session::sweep`] and
-//! its whole-grid and sharded forms,
-//! [`sweep_all`](crate::session::Session::sweep_all) and
-//! [`sweep_shard`](crate::session::Session::sweep_shard).
+//! its whole-grid form,
+//! [`sweep_all`](crate::session::Session::sweep_all).
 
 use crate::arch::Architecture;
 use hhpim_nn::TinyMlModel;
@@ -60,7 +59,8 @@ impl fmt::Display for SavingsCell {
 /// The full Fig. 5 matrix plus the reports behind it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SavingsMatrix {
-    /// One cell per `(scenario, model)` pair, scenario-major order.
+    /// One cell per `(scenario, model)` pair, model-major order: every
+    /// scenario of the first model, then every scenario of the next.
     pub cells: Vec<SavingsCell>,
 }
 
@@ -70,19 +70,6 @@ impl SavingsMatrix {
         self.cells
             .iter()
             .find(|c| c.scenario == scenario && c.model == model)
-    }
-
-    /// Concatenates shard outputs back into one matrix, in the order
-    /// given — with shards in `sweep_shard(0, n) ..
-    /// sweep_shard(n-1, n)` order, the result is bit-identical to the
-    /// serial [`crate::session::Session::sweep_all`] that the
-    /// partition was cut from. For merge-time *validation* of a shard
-    /// cover (no overlap, no omission), use
-    /// [`crate::artifact::SweepArtifact::merge`].
-    pub fn merge_shards(shards: impl IntoIterator<Item = SavingsMatrix>) -> SavingsMatrix {
-        SavingsMatrix {
-            cells: shards.into_iter().flat_map(|m| m.cells).collect(),
-        }
     }
 
     /// Mean savings versus `arch` across every cell (the paper's

@@ -44,8 +44,6 @@
 //!   versioned, checksummed on-disk tier under the store (memory hit →
 //!   disk hit → build-and-write-back, opt-in via
 //!   [`SessionBuilder::artifact_dir`](session::SessionBuilder::artifact_dir)),
-//!   and [`SweepArtifact`] shards/merges the Fig. 5 sweep across
-//!   worker processes bit-identically to the serial run,
 //! * [`Processor`] — the time-slice runtime with task buffering,
 //!   movement-aware re-placement and per-category energy accounting.
 //!
@@ -97,8 +95,7 @@ pub use analysis::{
 };
 pub use arch::{ArchSpec, Architecture, GatingPolicy, PlacementMode};
 pub use artifact::{
-    lut_from_json, lut_to_json, ArtifactError, ArtifactStore, SweepArtifact, SweepStats,
-    ARTIFACT_FORMAT_VERSION,
+    lut_from_json, lut_to_json, ArtifactError, ArtifactStore, ARTIFACT_FORMAT_VERSION,
 };
 pub use backend::{
     AnalyticBackend, BackendError, BackendKind, CycleBackend, EnergyCat, ExecMode,

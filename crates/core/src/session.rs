@@ -867,8 +867,8 @@ impl Session {
         scenarios: &[Scenario],
         models: &[TinyMlModel],
     ) -> Result<SavingsMatrix, SessionError> {
-        // Model-major cell order, which `sweep_shard` partitions and
-        // `SweepArtifact::merge` reassembles.
+        // Model-major cell order, so a contiguous chunk re-prepares its
+        // processors only at model boundaries.
         let pairs: Vec<(Scenario, TinyMlModel)> = models
             .iter()
             .flat_map(|&model| scenarios.iter().map(move |&scenario| (scenario, model)))
@@ -1002,67 +1002,6 @@ impl Session {
     /// See [`Session::sweep`].
     pub fn sweep_all(&self) -> Result<SavingsMatrix, SessionError> {
         self.sweep(&Scenario::ALL, &TinyMlModel::ALL)
-    }
-
-    /// Computes shard `index` of a deterministic `count`-way partition
-    /// of the full-grid sweep ([`Session::sweep_all`]'s 18 model-major
-    /// `(scenario, model)` pairs, cut into contiguous chunks of
-    /// `ceil(18 / count)` — the same rule the in-process parallel
-    /// executor uses, so a chunk re-prepares processors only at model
-    /// boundaries). The partition covers every pair exactly once for
-    /// any `count`; shards past the end of the pair list are empty
-    /// matrices.
-    ///
-    /// Concatenating the shard outputs in index order
-    /// ([`SavingsMatrix::merge_shards`], or the cover-validating
-    /// [`crate::artifact::SweepArtifact::merge`]) reproduces the
-    /// serial [`Session::sweep_all`] **bit for bit**: a cell's
-    /// arithmetic never depends on which shard computed it, and the
-    /// shared [`PlacementStore`] (plus its optional
-    /// [`SessionBuilder::artifact_dir`] disk tier) only decides
-    /// whether the DP re-runs, never what it returns. This is the
-    /// unit of work one `sweep_farm` worker process executes.
-    ///
-    /// Each shard runs serially within itself — the intended
-    /// parallelism is across worker processes, not threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `count == 0` or `index >= count` — a shard outside
-    /// its partition is a driver bug, not a recoverable state.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::sweep`].
-    pub fn sweep_shard(&self, index: usize, count: usize) -> Result<SavingsMatrix, SessionError> {
-        assert!(count >= 1, "shard count must be at least 1");
-        assert!(
-            index < count,
-            "shard index {index} outside partition of {count}"
-        );
-        let pairs: Vec<(Scenario, TinyMlModel)> = TinyMlModel::ALL
-            .iter()
-            .flat_map(|&model| Scenario::ALL.iter().map(move |&scenario| (scenario, model)))
-            .collect();
-        let chunk = pairs.len().div_ceil(count);
-        let start = (index * chunk).min(pairs.len());
-        let end = ((index + 1) * chunk).min(pairs.len());
-        let shard = &pairs[start..end];
-        let mut slots: Vec<Option<Result<SavingsCell, SessionError>>> = Vec::new();
-        slots.resize_with(shard.len(), || None);
-        Self::sweep_chunk(
-            shard,
-            &mut slots,
-            self.scenario_params,
-            self.cost_params,
-            self.opt_config,
-            &self.store,
-        );
-        let cells = slots
-            .into_iter()
-            .map(|cell| cell.expect("every shard slot is filled"))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SavingsMatrix { cells })
     }
 }
 

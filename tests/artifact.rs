@@ -1,21 +1,21 @@
 //! Persistence-tier contract tests: artifacts saved by one store load
 //! bit-identically into another, corrupted files degrade to typed
 //! errors and transparent rebuilds (never a panic, never stale data),
-//! a warm artifact directory reproduces every baseline energy with
-//! zero DP builds, sharded sweeps merge bit-identically to the serial
-//! sweep for every shard count, and no truncated or mutated artifact
-//! or recorded trace panics its reader.
+//! a warm artifact directory reproduces every baseline energy and
+//! every Fig. 5 savings cell with zero DP builds, and no truncated or
+//! mutated artifact or recorded trace panics its reader.
 
 use hhpim::session::SessionBuilder;
 use hhpim::{AllocationLut, ARTIFACT_FORMAT_VERSION};
 use hhpim::{
-    Architecture, ArtifactError, ArtifactStore, BackendKind, CostModel, CostParams,
+    Architecture, ArtifactError, ArtifactStore, BackendKind, CacheStats, CostModel, CostParams,
     OptimizerConfig, PlacementKey, PlacementOptimizer, PlacementStore, RecordedArrival,
-    RecordedTrace, RuntimeConfig, SavingsCell, SavingsMatrix, SweepArtifact, SweepStats,
-    WorkloadProfile,
+    RecordedTrace, RuntimeConfig, WorkloadProfile,
 };
 use hhpim_nn::TinyMlModel;
 use hhpim_workload::{Scenario, ScenarioParams};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
 /// Per-test scratch directory under the system temp dir, removed on
@@ -175,10 +175,16 @@ fn corruption_degrades_to_typed_errors_and_rebuilds() {
     }
 }
 
-/// One seven-case baseline pass (the six analytic scenarios plus the
-/// cycle-accurate case 3) on a fresh in-memory store over `dir`,
-/// returning each case's total energy bits and the final cache stats.
-fn seven_case_energies(dir: &Path) -> (Vec<u64>, hhpim::CacheStats) {
+/// Savings bits of one sweep cell: `(scenario, model, [vs_baseline,
+/// vs_heterogeneous, vs_hybrid])`.
+type CellBits = (Scenario, TinyMlModel, [u64; 3]);
+
+/// One pass over `dir`, each half on a fresh in-memory store: the
+/// seven-case baseline (the six analytic scenarios plus the
+/// cycle-accurate case 3), returning each case's total energy bits,
+/// then the full 6×3 `sweep_all`, returning every cell's savings bits.
+/// Each half comes back with its store's final cache stats.
+fn disk_tier_pass(dir: &Path) -> ((Vec<u64>, CacheStats), (Vec<CellBits>, CacheStats)) {
     let store = PlacementStore::shared();
     let mut energies = Vec::new();
     for (scenario, backend) in Scenario::ALL
@@ -200,144 +206,115 @@ fn seven_case_energies(dir: &Path) -> (Vec<u64>, hhpim::CacheStats) {
         let artifacts = session.run().unwrap();
         energies.push(artifacts.primary().total_energy().as_pj().to_bits());
     }
-    (energies, store.stats())
+
+    let sweep = SessionBuilder::new()
+        .scenario_params(quick_params())
+        .optimizer(quick_opt())
+        .store(PlacementStore::shared())
+        .artifact_dir(dir)
+        .build()
+        .unwrap();
+    let cells = sweep
+        .sweep_all()
+        .unwrap()
+        .cells
+        .iter()
+        .map(|c| {
+            (
+                c.scenario,
+                c.model,
+                [c.vs_baseline, c.vs_heterogeneous, c.vs_hybrid].map(f64::to_bits),
+            )
+        })
+        .collect();
+    ((energies, store.stats()), (cells, sweep.cache_stats()))
 }
 
-/// Satellite + acceptance: a second process-equivalent (fresh store,
+/// Satellite + acceptance: a second process-equivalent (fresh stores,
 /// populated artifact dir) reproduces all seven baseline-scenario
-/// energies bit-for-bit while performing **zero** LUT DP builds —
-/// every placement comes off disk.
+/// energies and every cell of the 6×3 savings matrix bit-for-bit
+/// while performing **zero** LUT DP builds — every placement comes
+/// off disk.
 #[test]
 fn warm_disk_tier_is_bit_identical_with_zero_builds() {
     let scratch = ScratchDir::new("warm");
-    let (cold, cold_stats) = seven_case_energies(scratch.path());
+    let ((cold, cold_stats), (cold_cells, _)) = disk_tier_pass(scratch.path());
     assert!(cold_stats.lut_builds >= 1);
     assert!(cold_stats.disk_writes >= 1);
+    assert_eq!(cold_cells.len(), 18);
 
-    let (warm, warm_stats) = seven_case_energies(scratch.path());
+    let ((warm, warm_stats), (warm_cells, warm_sweep_stats)) = disk_tier_pass(scratch.path());
     assert_eq!(cold, warm, "warm disk-tier energies drifted");
-    assert_eq!(
-        warm_stats.lut_builds, 0,
-        "a populated artifact dir must satisfy every LUT without DP"
-    );
-    assert!(warm_stats.disk_hits >= 1);
-    assert_eq!(warm_stats.disk_writes, 0);
-}
-
-/// Satellite: for every worker count 1..=7, `sweep_shard` partitions
-/// the 6×3 design space with no overlap and no omission, and the
-/// merged shards are bit-for-bit the serial `sweep_all` — both
-/// through the in-memory merge and through `SweepArtifact`'s
-/// validated, disk-round-tripped merge.
-#[test]
-fn sweep_shards_merge_bit_identical_to_serial() {
-    let scratch = ScratchDir::new("shards");
-    let build = || {
-        SessionBuilder::new()
-            .scenario_params(quick_params())
-            .optimizer(quick_opt())
-            .store(PlacementStore::shared())
-            .artifact_dir(scratch.path())
-            .build()
-            .unwrap()
-    };
-    let serial = build().sweep_all().unwrap();
-    assert_eq!(
-        serial.cells.len(),
-        Scenario::ALL.len() * TinyMlModel::ALL.len()
-    );
-
-    for count in 1..=7 {
-        let session = build();
-        let shards: Vec<SavingsMatrix> = (0..count)
-            .map(|index| session.sweep_shard(index, count).unwrap())
-            .collect();
-
-        // Cover: every (scenario, model) pair exactly once across
-        // shards.
-        let mut pairs: Vec<(usize, TinyMlModel)> = shards
-            .iter()
-            .flat_map(|m| m.cells.iter().map(|c| (c.scenario.case_number(), c.model)))
-            .collect();
+    assert_eq!(cold_cells, warm_cells, "warm disk-tier sweep drifted");
+    for (stats, what) in [(warm_stats, "runs"), (warm_sweep_stats, "sweep")] {
         assert_eq!(
-            pairs.len(),
-            serial.cells.len(),
-            "count={count}: omission/overlap"
+            stats.lut_builds, 0,
+            "{what}: a populated artifact dir must satisfy every LUT without DP"
         );
-        pairs.sort();
-        pairs.dedup();
-        assert_eq!(
-            pairs.len(),
-            serial.cells.len(),
-            "count={count}: duplicate cell"
-        );
-
-        let assert_matches_serial = |merged: &SavingsMatrix, via: &str| {
-            assert_eq!(merged.cells.len(), serial.cells.len());
-            for (a, b) in serial.cells.iter().zip(&merged.cells) {
-                assert_eq!(a.scenario, b.scenario, "count={count} via {via}");
-                assert_eq!(a.model, b.model, "count={count} via {via}");
-                for (x, y) in [
-                    (a.vs_baseline, b.vs_baseline),
-                    (a.vs_heterogeneous, b.vs_heterogeneous),
-                    (a.vs_hybrid, b.vs_hybrid),
-                ] {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "count={count} via {via}: {:?}/{:?} drifted",
-                        a.scenario,
-                        a.model
-                    );
-                }
-            }
-        };
-
-        let merged = SavingsMatrix::merge_shards(shards.clone());
-        assert_matches_serial(&merged, "merge_shards");
-
-        // The same merge through the persisted artifact path: save
-        // every shard, reload, and run the cover-validated merge.
-        let artifacts: Vec<SweepArtifact> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(index, matrix)| {
-                let artifact = SweepArtifact::new(index, count, matrix);
-                let path = scratch
-                    .path()
-                    .join(format!("it-shard-{index}-of-{count}.json"));
-                artifact.save(&path).unwrap();
-                SweepArtifact::load(&path).unwrap()
-            })
-            .collect();
-        let merged_artifact = SweepArtifact::merge(&artifacts).unwrap();
-        assert_matches_serial(&merged_artifact.matrix, "SweepArtifact::merge");
+        assert!(stats.disk_hits >= 1, "{what}: {stats:?}");
+        assert_eq!(stats.disk_writes, 0, "{what}: {stats:?}");
     }
 }
 
-/// Hands `check` every proper prefix of `text`, then every variant
-/// with one byte replaced by one of a fixed set of JSON-significant
-/// bytes (skipping variants that are not UTF-8).
+/// JSON-significant bytes the mutants substitute in.
+const SUBSTITUTES: &[u8] = b"-09.e,]}[\" ";
+
+/// Seeded multi-byte mutants [`for_each_mutation`] draws per text.
+const MULTI_BYTE_MUTANTS: usize = 2_000;
+
+/// Hands `check` every proper prefix of `text`, every variant with one
+/// byte replaced by one of [`SUBSTITUTES`], then
+/// [`MULTI_BYTE_MUTANTS`] fixed-seed multi-byte mutants: half carry two
+/// such substitutions at distinct positions, the rest are splices that
+/// delete one byte range or duplicate it in place (ranges up to 2 KiB,
+/// short ones favoured). Variants that are not UTF-8 are skipped.
 fn for_each_mutation(text: &str, mut check: impl FnMut(&str)) {
     for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
         check(&text[..end]);
     }
-    let mut bytes = text.as_bytes().to_vec();
+    let original = text.as_bytes();
+    let mut bytes = original.to_vec();
     for i in 0..bytes.len() {
-        let original = bytes[i];
-        for &b in b"-09.e,]}[\" " {
+        for &b in SUBSTITUTES {
             bytes[i] = b;
             if let Ok(mutant) = std::str::from_utf8(&bytes) {
                 check(mutant);
             }
         }
-        bytes[i] = original;
+        bytes[i] = original[i];
+    }
+
+    let len = original.len();
+    let mut rng = StdRng::seed_from_u64(0x6d75_7461_6e74);
+    let substitute = |rng: &mut StdRng| SUBSTITUTES[rng.gen_range(0..SUBSTITUTES.len())];
+    for _ in 0..MULTI_BYTE_MUTANTS {
+        let mut bytes = original.to_vec();
+        let kind = rng.gen_range(0..4);
+        if kind < 2 {
+            let i = rng.gen_range(0..len);
+            let j = (i + rng.gen_range(1..len)) % len;
+            bytes[i] = substitute(&mut rng);
+            bytes[j] = substitute(&mut rng);
+        } else {
+            let start = rng.gen_range(0..len);
+            let longest = (1usize << rng.gen_range(0..=11u32)).min(len - start);
+            let end = start + rng.gen_range(1..=longest);
+            if kind == 2 {
+                bytes.drain(start..end);
+            } else {
+                bytes.splice(end..end, original[start..end].iter().copied());
+            }
+        }
+        if let Ok(mutant) = std::str::from_utf8(&bytes) {
+            check(mutant);
+        }
     }
 }
 
-/// Satellite: no truncation or single-byte substitution of a LUT
-/// artifact panics the loader, and any mutant that still loads is the
-/// original table bit for bit (it re-serializes to the original text).
+/// Satellite: no truncation, single-byte substitution or seeded
+/// multi-byte mutant of a LUT artifact panics the loader, and any
+/// mutant that still loads is the original table bit for bit (it
+/// re-serializes to the original text).
 #[test]
 fn mutated_lut_artifacts_load_the_original_or_fail_typed() {
     let (key, lut) = build_cell(Architecture::HhPim, TinyMlModel::MobileNetV2);
@@ -352,45 +329,9 @@ fn mutated_lut_artifacts_load_the_original_or_fail_typed() {
     assert!(loaded > 0, "whitespace-only mutants must still load");
 }
 
-/// Satellite: the same for a sweep artifact — a mutant that loads
-/// carries the original shard and cells (its stats are outside the
-/// checksum and may differ).
-#[test]
-fn mutated_sweep_artifacts_load_the_original_or_fail_typed() {
-    let cells = TinyMlModel::ALL
-        .iter()
-        .zip(Scenario::ALL)
-        .map(|(&model, scenario)| SavingsCell {
-            scenario,
-            model,
-            vs_baseline: 61.25,
-            vs_heterogeneous: 1.0 / 3.0,
-            vs_hybrid: -0.5,
-        })
-        .collect();
-    let mut artifact = SweepArtifact::new(1, 3, SavingsMatrix { cells });
-    artifact.stats = Some(SweepStats {
-        lut_builds: 3,
-        disk_hits: 0,
-        disk_writes: 3,
-    });
-    let payload = |a: &SweepArtifact| {
-        SweepArtifact {
-            stats: None,
-            ..a.clone()
-        }
-        .to_json()
-    };
-    for_each_mutation(&artifact.to_json(), |mutant| {
-        if let Ok(back) = SweepArtifact::from_json(mutant) {
-            assert_eq!(payload(&back), payload(&artifact), "{mutant}");
-        }
-    });
-}
-
-/// Satellite: no truncation or single-byte substitution of a recorded
-/// trace panics its reader. (Traces carry no checksum, so a mutant may
-/// load with other values.)
+/// Satellite: no truncation, single-byte substitution or seeded
+/// multi-byte mutant of a recorded trace panics its reader. (Traces
+/// carry no checksum, so a mutant may load with other values.)
 #[test]
 fn mutated_recorded_traces_never_panic() {
     let arrivals = (0..8)

@@ -159,7 +159,8 @@ fn dual_backend_build_plus_sweep_all_builds_each_lut_once() {
 
 /// Satellite: the parallel sweep executor produces artifacts
 /// bit-identical to the serial run — every cell of the full grid, at
-/// 0.0000 % drift.
+/// 0.0000 % drift, in model-major order — including with more threads
+/// than cells, where the executor clamps to one cell per thread.
 #[test]
 fn parallel_sweep_all_is_bit_identical_to_serial() {
     let build = |threads: usize| {
@@ -172,7 +173,16 @@ fn parallel_sweep_all_is_bit_identical_to_serial() {
             .unwrap()
     };
     let serial = build(1).sweep_all().unwrap();
-    for threads in [2, 4, 7] {
+    assert_eq!(serial.cells.len(), 18);
+    for (i, cell) in serial.cells.iter().enumerate() {
+        assert_eq!(
+            cell.model,
+            TinyMlModel::ALL[i / Scenario::ALL.len()],
+            "cell {i} breaks model-major order"
+        );
+        assert_eq!(cell.scenario, Scenario::ALL[i % Scenario::ALL.len()]);
+    }
+    for threads in [2, 4, 7, 32] {
         let session = build(threads);
         assert_eq!(session.threads(), threads);
         let parallel = session.sweep_all().unwrap();
