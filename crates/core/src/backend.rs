@@ -53,10 +53,8 @@
 
 use crate::arch::{Architecture, GatingPolicy};
 use crate::compile::{compile_model, CompileError, CompiledProgram, LayerOp, WeightHome};
-use crate::cost::{CostModelError, CostParams};
-use crate::dp::OptimizerConfig;
+use crate::cost::CostModelError;
 use crate::engine::{AnalyticRun, CycleRun, LayerAcc, ReplacementDecision, SliceOutcome};
-use crate::policy::PlacementPolicy;
 use crate::runtime::{Processor, RuntimeConfig};
 use crate::space::{movement_legs, MovementLeg, Placement, StorageSpace};
 use crate::timegraph::TimeGraph;
@@ -322,8 +320,7 @@ impl From<MachineError> for BackendError {
 ///
 /// Implementations must be rerunnable: streams (and `execute` calls)
 /// may be opened in sequence, each producing an independent report.
-/// `Send` is required so comparison harnesses can fan backends out
-/// across threads.
+/// `Send` lets an owner move a backend to another thread.
 pub trait ExecutionBackend: Send {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
@@ -411,7 +408,9 @@ pub struct AnalyticBackend {
 }
 
 impl AnalyticBackend {
-    /// Builds the backend with default calibration.
+    /// Builds the backend with default calibration, the architecture's
+    /// Table I policy and a private placement store
+    /// ([`Processor::new`]).
     ///
     /// # Errors
     ///
@@ -419,29 +418,6 @@ impl AnalyticBackend {
     pub fn new(arch: Architecture, model: TinyMlModel) -> Result<Self, BackendError> {
         Ok(AnalyticBackend {
             processor: Processor::new(arch, model)?,
-            run: None,
-        })
-    }
-
-    /// Builds the backend with an explicit [`PlacementPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the model's weights do not fit the architecture or the
-    /// policy rejects its configuration.
-    pub fn with_policy(
-        arch: Architecture,
-        model: TinyMlModel,
-        policy: Box<dyn PlacementPolicy>,
-    ) -> Result<Self, BackendError> {
-        Ok(AnalyticBackend {
-            processor: Processor::with_policy(
-                arch,
-                model,
-                CostParams::default(),
-                OptimizerConfig::default(),
-                policy,
-            )?,
             run: None,
         })
     }
@@ -568,7 +544,8 @@ impl CycleBackend {
     /// Table I row, lowers the whole model into a [`CompiledProgram`],
     /// and adopts the analytic runtime's slice timing and allocation
     /// LUT so deadlines and placements mean the same thing on both
-    /// backends.
+    /// backends. Calibration, policy and placement store are
+    /// [`Processor::new`]'s defaults.
     ///
     /// # Errors
     ///
@@ -576,28 +553,6 @@ impl CycleBackend {
     /// machine-executable layer.
     pub fn new(arch: Architecture, model: TinyMlModel) -> Result<Self, BackendError> {
         let processor = Processor::new(arch, model)?;
-        Self::from_processor(processor, model)
-    }
-
-    /// Builds the backend with an explicit [`PlacementPolicy`] deciding
-    /// every slice's placement (and with it the migration traffic).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the model does not fit the architecture, the policy
-    /// rejects its configuration, or no layer is machine-executable.
-    pub fn with_policy(
-        arch: Architecture,
-        model: TinyMlModel,
-        policy: Box<dyn PlacementPolicy>,
-    ) -> Result<Self, BackendError> {
-        let processor = Processor::with_policy(
-            arch,
-            model,
-            CostParams::default(),
-            OptimizerConfig::default(),
-            policy,
-        )?;
         Self::from_processor(processor, model)
     }
 

@@ -38,8 +38,9 @@
 //! * [`PlacementOptimizer`] — Algorithms 1 & 2: per-cluster bottom-up
 //!   DP plus cross-cluster combination, building an [`AllocationLut`],
 //! * [`store`] — the [`PlacementStore`]: a thread-safe, memoized cache
-//!   of built LUTs shared across sessions, backends and sweep cells,
-//!   so each distinct configuration pays the DP once per process,
+//!   of built LUTs shared by a session's backends and sweep cells (or a
+//!   server's tenants), so each distinct configuration pays the DP once
+//!   per store,
 //! * [`artifact`] — **persistence**: [`ArtifactStore`] adds a
 //!   versioned, checksummed on-disk tier under the store (memory hit →
 //!   disk hit → build-and-write-back, opt-in via

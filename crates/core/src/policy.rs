@@ -35,8 +35,8 @@ use std::sync::Arc;
 /// Implementations must be deterministic: the same prepared policy
 /// asked about the same task count must always answer the same
 /// placement (the runtime replays decisions slice by slice on both
-/// backends and the reports must agree). `Send` is required so
-/// policy-holding backends can fan out across comparison threads.
+/// backends and the reports must agree). `Send` keeps the backends
+/// that hold a policy `Send` (see [`crate::ExecutionBackend`]).
 pub trait PlacementPolicy: fmt::Debug + Send {
     /// Short machine-readable name (used in artifacts and reports).
     fn name(&self) -> &'static str;
@@ -47,8 +47,8 @@ pub trait PlacementPolicy: fmt::Debug + Send {
     ///
     /// Expensive state must be obtained through `store` rather than
     /// built privately: the [`PlacementStore`] memoizes it per
-    /// configuration, so every processor, backend and sweep cell in a
-    /// process sharing one store pays each DP exactly once. With a
+    /// configuration, so every processor, backend and sweep cell
+    /// sharing one store pays each DP exactly once. With a
     /// persistent [`crate::artifact`] tier attached to the store
     /// (memory hit → disk hit → build-and-write-back), a policy
     /// prepared in a fresh process may pay no DP at all — the ladder
@@ -235,7 +235,7 @@ impl FixedHome {
 }
 
 /// The Table I fixed home of `arch` under `cost`.
-pub(crate) fn arch_fixed_home(arch: Architecture, cost: &CostModel) -> Placement {
+fn arch_fixed_home(arch: Architecture, cost: &CostModel) -> Placement {
     match arch {
         Architecture::Baseline => Placement::all_in(StorageSpace::HpSram, cost.k_groups()),
         Architecture::Hybrid => Placement::all_in(StorageSpace::HpMram, cost.k_groups()),
@@ -253,9 +253,16 @@ impl PlacementPolicy for FixedHome {
         cost: &CostModel,
         _runtime: &RuntimeConfig,
         _opt: &OptimizerConfig,
-        store: &PlacementStore,
+        _store: &PlacementStore,
     ) -> Result<(), CostModelError> {
-        self.home = Some(store.fixed_home(cost, self.pinned)?);
+        // A few arithmetic steps: nothing here is worth memoizing.
+        let home = self
+            .pinned
+            .unwrap_or_else(|| arch_fixed_home(cost.arch().arch, cost));
+        if !cost.is_valid(&home) {
+            return Err(CostModelError::InvalidPlacement { placement: home });
+        }
+        self.home = Some(home);
         Ok(())
     }
 

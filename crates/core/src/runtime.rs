@@ -127,47 +127,36 @@ pub struct Processor {
 }
 
 impl Processor {
-    /// Builds a processor with default calibration.
+    /// Builds a processor with default calibration, the
+    /// architecture's Table I policy and a private [`PlacementStore`].
     ///
     /// # Errors
     ///
     /// Fails if the model's weights do not fit the architecture.
     pub fn new(arch: Architecture, model: TinyMlModel) -> Result<Self, CostModelError> {
-        Self::with_params(
+        Self::with_policy_in(
             arch,
             model,
             CostParams::default(),
             OptimizerConfig::default(),
+            default_policy(arch),
+            &PlacementStore::new(),
         )
     }
 
-    /// Builds a processor with explicit calibration knobs.
+    /// Builds a processor with explicit calibration knobs and an
+    /// explicit [`PlacementPolicy`]: the policy is prepared against
+    /// this processor's cost model, drawing its prepared state (the
+    /// allocation LUT above all) from `store`, and then answers every
+    /// per-slice placement query. Processors built on one store pay
+    /// each distinct configuration's DP once;
+    /// [`crate::session::SessionBuilder`] and
+    /// [`crate::session::Session::sweep`] thread their store through
+    /// here.
     ///
     /// The slice duration is always derived from the *HH-PIM* peak for
-    /// the same model (`T = max_tasks × peak`), so all four
+    /// the same model (see [`RuntimeConfig::reference`]), so all four
     /// architectures share identical slices, as in the paper.
-    ///
-    /// # Errors
-    ///
-    /// See [`Processor::with_policy`].
-    pub fn with_params(
-        arch: Architecture,
-        model: TinyMlModel,
-        params: CostParams,
-        opt_config: OptimizerConfig,
-    ) -> Result<Self, CostModelError> {
-        Self::with_policy(arch, model, params, opt_config, default_policy(arch))
-    }
-
-    /// Builds a processor with an explicit [`PlacementPolicy`]: the
-    /// policy is prepared against this processor's cost model and then
-    /// answers every per-slice placement query.
-    ///
-    /// Prepared state (the allocation LUT above all) comes from the
-    /// process-local [`PlacementStore`], so repeated constructions of
-    /// the same configuration pay the DP once; use
-    /// [`Processor::with_policy_in`] to share (or isolate) an explicit
-    /// store instead.
     ///
     /// # Errors
     ///
@@ -177,32 +166,6 @@ impl Processor {
     /// finite and positive, `max_tasks_per_slice` at least 1,
     /// `retention_factor` finite and non-negative), or the policy
     /// rejects its configuration (e.g. an invalid pinned placement).
-    pub fn with_policy(
-        arch: Architecture,
-        model: TinyMlModel,
-        params: CostParams,
-        opt_config: OptimizerConfig,
-        policy: Box<dyn PlacementPolicy>,
-    ) -> Result<Self, CostModelError> {
-        Self::with_policy_in(
-            arch,
-            model,
-            params,
-            opt_config,
-            policy,
-            &PlacementStore::global(),
-        )
-    }
-
-    /// [`Processor::with_policy`] with an explicit [`PlacementStore`]
-    /// supplying (and memoizing) the policy's prepared state — the
-    /// constructor [`crate::session::SessionBuilder`] and
-    /// [`crate::session::Session::sweep`] thread their shared store
-    /// through.
-    ///
-    /// # Errors
-    ///
-    /// See [`Processor::with_policy`].
     pub fn with_policy_in(
         arch: Architecture,
         model: TinyMlModel,

@@ -678,8 +678,8 @@ impl TenantSpec {
 /// wide knobs here, per-tenant triples via [`ServerBuilder::tenant`].
 ///
 /// Defaults: HH-PIM architecture, the analytic backend, the
-/// architecture's Table I placement policy, [`AlwaysAdmit`], the
-/// process-global [`PlacementStore`] and a
+/// architecture's Table I placement policy, [`AlwaysAdmit`], a fresh
+/// [`PlacementStore`] owned by the server and a
 /// [`DEFAULT_MISS_WINDOW`]-slice miss window.
 #[derive(Debug, Default)]
 pub struct ServerBuilder {
@@ -735,9 +735,11 @@ impl ServerBuilder {
         self
     }
 
-    /// The shared [`PlacementStore`] every tenant draws LUTs from
-    /// (default: [`PlacementStore::global`]). Tenants with the same
-    /// (architecture, model, parameters) configuration share one DP.
+    /// The [`PlacementStore`] every tenant draws LUTs from (default: a
+    /// fresh store the server owns). Tenants with the same
+    /// (architecture, model, parameters) configuration share one DP;
+    /// pass one store to several servers or sessions to share across
+    /// them too.
     pub fn store(mut self, store: Arc<PlacementStore>) -> Self {
         self.store = Some(store);
         self
@@ -802,7 +804,7 @@ impl ServerBuilder {
                 });
             }
         }
-        let store = self.store.clone().unwrap_or_else(PlacementStore::global);
+        let store = self.store.clone().unwrap_or_else(PlacementStore::shared);
         let kind = self.backend.unwrap_or(BackendKind::Analytic);
         let miss_window = self.miss_window.unwrap_or(DEFAULT_MISS_WINDOW);
         let mut tenants = Vec::with_capacity(self.tenants.len());

@@ -385,11 +385,9 @@ impl SessionBuilder {
         self
     }
 
-    /// The [`PlacementStore`] supplying memoized LUTs and prepared
-    /// placement state (default: [`PlacementStore::global`], the
-    /// process-local cache). Pass a private store to isolate
-    /// [`CacheStats`], or share one store across many sessions
-    /// explicitly.
+    /// The [`PlacementStore`] supplying memoized LUTs (default: a fresh
+    /// store the session owns). Pass one store to several builders to
+    /// share their DP builds and [`CacheStats`].
     pub fn store(mut self, store: Arc<PlacementStore>) -> Self {
         self.store = Some(store);
         self
@@ -405,20 +403,17 @@ impl SessionBuilder {
     /// only whether the DP runs; corrupt or stale files fall through
     /// to a rebuild.
     ///
-    /// The tier is attached to whichever store the session resolves —
-    /// the process-global [`PlacementStore::global`] by default — and
-    /// stays attached until replaced
-    /// ([`PlacementStore::set_artifact_store`]). Pair it with
-    /// [`SessionBuilder::store`] and a private store to scope the
-    /// tier (and its [`CacheStats`]) to one session.
+    /// The tier is attached to the session's store — its own by
+    /// default, or the one passed to [`SessionBuilder::store`], where
+    /// it stays attached until replaced
+    /// ([`PlacementStore::set_artifact_store`]).
     pub fn artifact_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.artifact_dir = Some(dir.into());
         self
     }
 
     /// Worker threads for [`Session::sweep`]/[`Session::sweep_all`]
-    /// and [`Session::compare`] (default 1 = serial). The parallel
-    /// executor fans sweep cells — and, on `compare`, whole backends —
+    /// (default 1 = serial). The parallel executor fans sweep cells
     /// across scoped threads sharing the session's warm store; results
     /// are ordered deterministically and bit-identical to the serial
     /// run. Values are clamped to at least 1.
@@ -441,7 +436,7 @@ impl SessionBuilder {
             .store
             .as_ref()
             .cloned()
-            .unwrap_or_else(PlacementStore::global);
+            .unwrap_or_else(PlacementStore::shared);
         if let Some(dir) = &self.artifact_dir {
             store.set_artifact_store(Some(crate::artifact::ArtifactStore::new(dir.clone())));
         }
@@ -455,7 +450,7 @@ impl SessionBuilder {
             .unwrap_or_else(|| default_policy(arch))
     }
 
-    fn make_processor(&self) -> Result<Processor, SessionError> {
+    fn make_processor(&self, store: &PlacementStore) -> Result<Processor, SessionError> {
         let (arch, model, cost_params, opt_config) = self.resolved();
         Ok(Processor::with_policy_in(
             arch,
@@ -463,29 +458,36 @@ impl SessionBuilder {
             cost_params,
             opt_config,
             self.make_policy(arch),
-            &self.resolved_store(),
+            store,
         )?)
     }
 
     /// Builds just the analytic backend — the escape hatch for code
-    /// that owns a single backend directly.
+    /// that owns a single backend directly. Without
+    /// [`SessionBuilder::store`], each call draws on a fresh store.
     ///
     /// # Errors
     ///
     /// See [`SessionBuilder::build`].
     pub fn build_analytic(&self) -> Result<AnalyticBackend, SessionError> {
-        Ok(AnalyticBackend::from_processor(self.make_processor()?))
+        Ok(AnalyticBackend::from_processor(
+            self.make_processor(&self.resolved_store())?,
+        ))
     }
 
     /// Builds just the cycle backend — the escape hatch for code that
-    /// owns a single backend directly.
+    /// owns a single backend directly. Without
+    /// [`SessionBuilder::store`], each call draws on a fresh store.
     ///
     /// # Errors
     ///
     /// See [`SessionBuilder::build`].
     pub fn build_cycle(&self) -> Result<CycleBackend, SessionError> {
         let (_, model, _, _) = self.resolved();
-        Ok(CycleBackend::from_processor(self.make_processor()?, model)?)
+        Ok(CycleBackend::from_processor(
+            self.make_processor(&self.resolved_store())?,
+            model,
+        )?)
     }
 
     /// Builds one backend of the requested kind as a trait object —
@@ -541,7 +543,7 @@ impl SessionBuilder {
         let store = self.resolved_store();
         let mut backends: Vec<Box<dyn ExecutionBackend>> = Vec::with_capacity(kinds.len());
         if !kinds.is_empty() {
-            let processor = self.make_processor()?;
+            let processor = self.make_processor(&store)?;
             for &kind in &kinds {
                 match kind {
                     BackendKind::Analytic => {
@@ -727,8 +729,8 @@ impl Session {
         self.source.as_ref().map(|s| s.label())
     }
 
-    /// The placement store backing this session (shared with every
-    /// session built without an explicit [`SessionBuilder::store`]).
+    /// The placement store backing this session: the one passed to
+    /// [`SessionBuilder::store`], or the session's own.
     pub fn store(&self) -> &Arc<PlacementStore> {
         &self.store
     }
@@ -738,8 +740,7 @@ impl Session {
         self.store.stats()
     }
 
-    /// Worker threads [`Session::sweep`] and [`Session::compare`] fan
-    /// out across.
+    /// Worker threads [`Session::sweep`] fans its cells out across.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -789,11 +790,6 @@ impl Session {
     /// Runs every backend on the same trace and wraps the reports in
     /// agreement checks — the parity harness as a method.
     ///
-    /// With [`SessionBuilder::threads`] above 1 the backends fan out
-    /// across scoped worker threads, one per backend (each thread
-    /// loops the streaming API over its own backend); reports are
-    /// ordered by builder order and bit-identical to the serial run.
-    ///
     /// # Errors
     ///
     /// [`SessionError::NotComparable`] with fewer than two backends,
@@ -804,41 +800,8 @@ impl Session {
                 backends: self.backends.len(),
             });
         }
-        if self.threads <= 1 {
-            return Ok(Comparison {
-                artifacts: self.run()?,
-            });
-        }
-        let trace = self
-            .source
-            .as_ref()
-            .ok_or(SessionError::NoTraceSource)?
-            .trace()?;
-        // One slot per backend, filled in place so report order never
-        // depends on thread timing; backends are independent, so the
-        // fan-out cannot change any report's arithmetic.
-        let mut slots: Vec<Option<Result<ExecutionReport, BackendError>>> = Vec::new();
-        slots.resize_with(self.backends.len(), || None);
-        let trace_ref = &trace;
-        std::thread::scope(|scope| {
-            for (backend, slot) in self.backends.iter_mut().zip(slots.iter_mut()) {
-                scope.spawn(move || {
-                    *slot = Some(backend.execute(trace_ref));
-                });
-            }
-        });
-        let reports = slots
-            .into_iter()
-            .map(|slot| slot.expect("every compare slot is filled"))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(SessionError::Backend)?;
         Ok(Comparison {
-            artifacts: RunArtifacts {
-                trace,
-                policy: self.policy_name,
-                reports,
-                cache: self.store.stats(),
-            },
+            artifacts: self.run()?,
         })
     }
 

@@ -1,15 +1,14 @@
-//! The placement store: a thread-safe, memoized cache of prepared
-//! placement state shared across the DP → policy → session layers.
+//! The placement store: a thread-safe, memoized cache of allocation
+//! LUTs shared across the DP → policy → session layers.
 //!
 //! The §III-B allocation LUT is precomputed once per (architecture,
-//! model, latency-constraint) configuration in the paper — but before
-//! this module every [`crate::Processor`] construction re-ran the DP,
-//! so a dual-backend session and every cell of a
-//! [`crate::session::Session::sweep`] each paid the full Algorithm 1+2
-//! cost again. A [`PlacementStore`] memoizes the built
-//! [`AllocationLut`]s (and the cheaper [`crate::FixedHome`] resolved
-//! homes) behind a hashable [`PlacementKey`], so the DP runs **once
-//! per distinct configuration per process**:
+//! model, latency-constraint) configuration in the paper — but without
+//! a cache every [`crate::Processor`] construction re-runs the DP, so
+//! a dual-backend session and every cell of a
+//! [`crate::session::Session::sweep`] would each pay the full
+//! Algorithm 1+2 cost again. A [`PlacementStore`] memoizes the built
+//! [`AllocationLut`]s behind a hashable [`PlacementKey`], so the DP
+//! runs **once per distinct configuration per store**:
 //!
 //! ```text
 //!            SessionBuilder ──.store(..)──┐
@@ -37,11 +36,13 @@
 //! builds for cached keys. [`PlacementKey::canonical`] supplies the
 //! process-stable on-disk identity.
 //!
-//! The multi-tenant [`crate::server::Server`] leans on the same
-//! mechanism: every tenant engine draws from one shared store
-//! ([`crate::server::ServerBuilder::store`], defaulting to
-//! [`PlacementStore::global`]), so tenants serving the same model on
-//! the same architecture share a single DP build.
+//! Every store has one owner. A session or server built without an
+//! explicit store owns a fresh one; callers who want sharing pass one
+//! store to several builders ([`crate::session::SessionBuilder::store`],
+//! [`crate::server::ServerBuilder::store`]). Inside a
+//! [`crate::server::Server`] every tenant engine draws from the
+//! server's store, so tenants serving the same model on the same
+//! architecture share a single DP build.
 //!
 //! # Examples
 //!
@@ -68,28 +69,18 @@
 //! ```
 
 use crate::artifact::ArtifactStore;
-use crate::cost::{CostModel, CostModelError};
+use crate::cost::CostModel;
 use crate::dp::{AllocationLut, OptimizerConfig, PlacementOptimizer};
 use crate::runtime::RuntimeConfig;
-use crate::space::Placement;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// What a [`PlacementKey`] identifies inside the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum KeyVariant {
-    /// A DP-built allocation LUT.
-    Lut,
-    /// A resolved fixed home (architecture default or a caller pin).
-    FixedHome(Option<Placement>),
-}
-
-/// Canonical, hashable identity of one prepared-placement
-/// configuration: the architecture's Table I geometry, the model's
-/// weight/MAC footprint, the cost-model calibration, the optimizer
-/// resolution and the deadline budget the LUT was sized against.
+/// Canonical, hashable identity of one allocation-LUT configuration:
+/// the architecture's Table I geometry, the model's weight/MAC
+/// footprint, the cost-model calibration, the optimizer resolution and
+/// the deadline budget the LUT was sized against.
 ///
 /// Two cost models that agree on every field produce bit-identical
 /// LUTs, so the store may serve one build to both; any divergence in
@@ -118,14 +109,16 @@ pub struct PlacementKey {
     // Deadline budget the LUT covers.
     usable_slice_ps: u64,
     max_tasks: u32,
-    variant: KeyVariant,
 }
 
 impl PlacementKey {
-    fn base(cost: &CostModel, variant: KeyVariant) -> Self {
+    /// The key of the allocation LUT built for `cost` under `runtime`
+    /// deadlines at `opt` resolution.
+    pub fn for_lut(cost: &CostModel, runtime: &RuntimeConfig, opt: &OptimizerConfig) -> Self {
         let arch = cost.arch();
         let params = cost.params();
         let profile = cost.profile();
+        let (time_buckets, amortize_static, retention_factor_bits) = opt.canonical_bits();
         PlacementKey {
             arch: arch.arch,
             hp_modules: arch.hp_modules,
@@ -138,33 +131,12 @@ impl PlacementKey {
             act_reserve_per_module: params.act_reserve_per_module,
             include_input_reads: params.include_input_reads,
             time_scale_bits: params.time_scale.to_bits(),
-            time_buckets: 0,
-            amortize_static: false,
-            retention_factor_bits: 0,
-            usable_slice_ps: 0,
-            max_tasks: 0,
-            variant,
-        }
-    }
-
-    /// The key of the allocation LUT built for `cost` under `runtime`
-    /// deadlines at `opt` resolution.
-    pub fn for_lut(cost: &CostModel, runtime: &RuntimeConfig, opt: &OptimizerConfig) -> Self {
-        let (time_buckets, amortize_static, retention_factor_bits) = opt.canonical_bits();
-        PlacementKey {
             time_buckets,
             amortize_static,
             retention_factor_bits,
             usable_slice_ps: runtime.usable_slice().as_ps(),
             max_tasks: runtime.max_tasks,
-            ..Self::base(cost, KeyVariant::Lut)
         }
-    }
-
-    /// The key of a resolved fixed home for `cost` (`pinned` when the
-    /// caller supplied one, otherwise the architecture's default).
-    pub fn for_fixed_home(cost: &CostModel, pinned: Option<Placement>) -> Self {
-        Self::base(cost, KeyVariant::FixedHome(pinned))
     }
 
     /// The key's canonical, **process-stable** encoding.
@@ -178,7 +150,9 @@ impl PlacementKey {
     /// the deadline budget — identical across runs, processes and
     /// machines for identical configurations. The `hhpim-key-v1`
     /// prefix versions the encoding itself: any change to the field
-    /// set must bump it, retiring stale artifacts by key mismatch.
+    /// set must bump it, retiring stale artifacts by key mismatch. The
+    /// trailing `variant=lut` is part of the `v1` encoding that
+    /// artifact files carry, so it stays.
     ///
     /// [`crate::artifact::ArtifactStore`] derives artifact file names
     /// from a hash of this string and embeds the full string in the
@@ -191,18 +165,10 @@ impl PlacementKey {
             crate::arch::Architecture::Hybrid => "hybrid",
             crate::arch::Architecture::HhPim => "hh-pim",
         };
-        let variant = match self.variant {
-            KeyVariant::Lut => "lut".to_string(),
-            KeyVariant::FixedHome(None) => "fixed".to_string(),
-            KeyVariant::FixedHome(Some(p)) => {
-                let c = crate::space::StorageSpace::ALL.map(|s| p.get(s));
-                format!("fixed:{},{},{},{}", c[0], c[1], c[2], c[3])
-            }
-        };
         format!(
             "hhpim-key-v1;arch={arch};hp={};lp={};mram={};sram={};\
              wb={};macs={};gs={};act={};inp={};ts={};\
-             tb={};amort={};rf={};slice={};maxt={};variant={variant}",
+             tb={};amort={};rf={};slice={};maxt={};variant=lut",
             self.hp_modules,
             self.lp_modules,
             self.mram_per_module,
@@ -225,12 +191,12 @@ impl PlacementKey {
 /// A snapshot of one store's cache behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups served from the cache (pointer clones, no DP).
+    /// LUT lookups served from memory (pointer clones, no DP).
     pub hits: u64,
-    /// Lookups that had to build a new entry.
+    /// LUT lookups that found no LUT in memory: each became a disk hit
+    /// or a DP build.
     pub misses: u64,
-    /// LUT DP builds — the expensive subset of `misses` (fixed-home
-    /// resolutions also miss but cost microseconds).
+    /// LUT DP builds: the `misses` the disk tier did not serve.
     pub lut_builds: u64,
     /// Memory misses served by the [`crate::artifact`] disk tier
     /// instead of a DP build (always 0 without an attached artifact
@@ -238,10 +204,10 @@ pub struct CacheStats {
     pub disk_hits: u64,
     /// Freshly built LUTs written back to the artifact dir.
     pub disk_writes: u64,
-    /// Total wall time spent building entries.
+    /// Total wall time spent in LUT DP builds.
     pub build_time: Duration,
-    /// Entries evicted by the bounded-capacity LRU mode (always 0 on
-    /// the default unbounded store).
+    /// Always 0: a store never evicts, it keeps every LUT until
+    /// [`PlacementStore::clear`].
     pub evictions: u64,
 }
 
@@ -250,60 +216,25 @@ pub struct CacheStats {
 /// in parallel.
 type LutCell = Arc<OnceLock<Arc<AllocationLut>>>;
 
-/// A thread-safe, memoized cache of prepared placement state. See the
+/// A thread-safe, memoized cache of allocation LUTs. See the
 /// [module docs](self).
 ///
-/// By default a store never evicts — the right trade for batch
-/// processes whose configuration population is bounded by the
-/// experiment grid. Long-lived streaming processes loading many
-/// models should bound it with [`PlacementStore::with_capacity`]:
-/// each map (LUTs, fixed homes) then keeps at most that many entries,
-/// evicting the least-recently-used one past the cap and counting the
-/// eviction in [`CacheStats::evictions`]. An evicted entry is rebuilt
-/// on its next request; in-flight builds are unaffected (the builder
-/// holds the slot alive).
+/// A store never evicts: its owner (a session, a server, or a caller
+/// sharing one store explicitly) bounds how many configurations it
+/// sees, one LUT each. [`PlacementStore::clear`] drops every entry.
 #[derive(Debug, Default)]
 pub struct PlacementStore {
-    luts: Mutex<HashMap<PlacementKey, (LutCell, u64)>>,
-    homes: Mutex<HashMap<PlacementKey, (Placement, u64)>>,
-    /// Per-map entry cap; `None` = unbounded (the default).
-    capacity: Option<usize>,
+    luts: Mutex<HashMap<PlacementKey, LutCell>>,
     /// Optional persistent disk tier consulted between a memory miss
     /// and the DP build; see [`PlacementStore::set_artifact_store`].
     artifacts: Mutex<Option<ArtifactStore>>,
-    /// Monotone LRU clock; bumped on every lookup.
-    tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     lut_builds: AtomicU64,
     disk_hits: AtomicU64,
     disk_writes: AtomicU64,
     build_ns: AtomicU64,
-    evictions: AtomicU64,
 }
-
-/// Evicts the least-recently-used entry other than `keep` when `map`
-/// exceeds `capacity`, returning whether an entry was dropped.
-fn evict_lru<V>(
-    map: &mut HashMap<PlacementKey, (V, u64)>,
-    capacity: usize,
-    keep: PlacementKey,
-) -> bool {
-    if map.len() <= capacity {
-        return false;
-    }
-    let victim = map
-        .iter()
-        .filter(|(k, _)| **k != keep)
-        .min_by_key(|(_, (_, stamp))| *stamp)
-        .map(|(k, _)| *k);
-    match victim {
-        Some(key) => map.remove(&key).is_some(),
-        None => false,
-    }
-}
-
-static GLOBAL: OnceLock<Arc<PlacementStore>> = OnceLock::new();
 
 impl PlacementStore {
     /// An empty store.
@@ -314,24 +245,6 @@ impl PlacementStore {
     /// An empty store, ready to share (`Arc::new(Self::new())`).
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
-    }
-
-    /// An empty store that keeps at most `capacity` entries per map
-    /// (LUTs and fixed homes each), evicting least-recently-used
-    /// entries past the cap. `capacity` is clamped to at least 1.
-    /// Intended for long-lived engine processes that stream many
-    /// model/architecture configurations; the default stores stay
-    /// unbounded.
-    pub fn with_capacity(capacity: usize) -> Self {
-        PlacementStore {
-            capacity: Some(capacity.max(1)),
-            ..Default::default()
-        }
-    }
-
-    /// The per-map entry cap, if this store is bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// An empty store with a persistent [`crate::artifact`] disk tier
@@ -364,22 +277,14 @@ impl PlacementStore {
             .clone()
     }
 
-    /// The process-local store: the default for every
-    /// [`crate::session::SessionBuilder`] and [`crate::Processor`]
-    /// constructor, so independently built sessions in one process
-    /// still share one DP run per distinct configuration. Use [`crate::session::SessionBuilder::store`]
-    /// with a private store when isolated [`CacheStats`] matter (e.g.
-    /// in tests).
-    pub fn global() -> Arc<PlacementStore> {
-        GLOBAL
-            .get_or_init(|| Arc::new(PlacementStore::new()))
-            .clone()
-    }
-
     /// The allocation LUT for `(cost, runtime, opt)`: built by the DP
     /// on the first request for its [`PlacementKey`], served as an
     /// [`Arc`] clone afterwards. Concurrent first requests for the
     /// same key block on one build; distinct keys build concurrently.
+    ///
+    /// No lock is held while the DP runs. A build that panics leaves
+    /// its key's slot empty and moves no counter, and the next request
+    /// for that key builds again; every other key is served as before.
     pub fn lut(
         &self,
         cost: &CostModel,
@@ -387,19 +292,13 @@ impl PlacementStore {
         opt: &OptimizerConfig,
     ) -> Arc<AllocationLut> {
         let key = PlacementKey::for_lut(cost, runtime, opt);
-        let cell: LutCell = {
-            let mut luts = self.luts.lock().expect("placement store poisoned");
-            let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-            let entry = luts.entry(key).or_default();
-            entry.1 = stamp;
-            let cell = entry.0.clone();
-            if let Some(cap) = self.capacity {
-                if evict_lru(&mut luts, cap, key) {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            cell
-        };
+        let cell: LutCell = self
+            .luts
+            .lock()
+            .expect("placement store poisoned")
+            .entry(key)
+            .or_default()
+            .clone();
         let mut built_here = false;
         let mut disk_hit = false;
         let artifacts = self.artifact_store();
@@ -444,47 +343,6 @@ impl PlacementStore {
         lut
     }
 
-    /// The resolved fixed home for `cost` (the architecture's Table I
-    /// default, or `pinned` when supplied), validated once per key.
-    /// Resolution costs microseconds, so it runs under the map lock —
-    /// concurrent misses on one key serialize into exactly one
-    /// recorded build, matching the LUT path's guarantee.
-    ///
-    /// # Errors
-    ///
-    /// [`CostModelError::InvalidPlacement`] when a pinned placement
-    /// violates capacities or does not place all weight groups —
-    /// invalid pins are *not* cached.
-    pub fn fixed_home(
-        &self,
-        cost: &CostModel,
-        pinned: Option<Placement>,
-    ) -> Result<Placement, CostModelError> {
-        let key = PlacementKey::for_fixed_home(cost, pinned);
-        let mut homes = self.homes.lock().expect("placement store poisoned");
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = homes.get_mut(&key) {
-            entry.1 = stamp;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry.0);
-        }
-        let start = Instant::now();
-        let home = pinned.unwrap_or_else(|| crate::policy::arch_fixed_home(cost.arch().arch, cost));
-        if !cost.is_valid(&home) {
-            return Err(CostModelError::InvalidPlacement { placement: home });
-        }
-        self.build_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        homes.insert(key, (home, stamp));
-        if let Some(cap) = self.capacity {
-            if evict_lru(&mut homes, cap, key) {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(home)
-    }
-
     /// Whether a built LUT for `(cost, runtime, opt)` is already
     /// cached (without touching the hit/miss counters).
     pub fn contains_lut(
@@ -498,7 +356,7 @@ impl PlacementStore {
             .lock()
             .expect("placement store poisoned")
             .get(&key)
-            .is_some_and(|(cell, _)| cell.get().is_some())
+            .is_some_and(|cell| cell.get().is_some())
     }
 
     /// A snapshot of this store's hit/miss/build counters.
@@ -510,17 +368,21 @@ impl PlacementStore {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
             build_time: Duration::from_nanos(self.build_ns.load(Ordering::Relaxed)),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: 0,
         }
     }
 
-    /// Number of cached entries (LUTs + resolved homes).
+    /// Number of cached LUTs.
     pub fn len(&self) -> usize {
-        self.luts.lock().expect("placement store poisoned").len()
-            + self.homes.lock().expect("placement store poisoned").len()
+        self.luts
+            .lock()
+            .expect("placement store poisoned")
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
-    /// Whether the store holds no entries.
+    /// Whether the store holds no built LUT.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -529,7 +391,6 @@ impl PlacementStore {
     /// the store's lifetime, not its current contents).
     pub fn clear(&self) {
         self.luts.lock().expect("placement store poisoned").clear();
-        self.homes.lock().expect("placement store poisoned").clear();
     }
 }
 
@@ -601,23 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_homes_cache_and_reject_invalid_pins() {
-        let store = PlacementStore::new();
-        let (cost, ..) = fixture(Architecture::Hybrid, TinyMlModel::MobileNetV2, 250);
-        let a = store.fixed_home(&cost, None).unwrap();
-        let b = store.fixed_home(&cost, None).unwrap();
-        assert_eq!(a, b);
-        let stats = store.stats();
-        assert_eq!((stats.misses, stats.hits, stats.lut_builds), (1, 1, 0));
-
-        let bogus = Placement::all_in(crate::space::StorageSpace::HpSram, 1);
-        let err = store.fixed_home(&cost, Some(bogus)).unwrap_err();
-        assert!(matches!(err, CostModelError::InvalidPlacement { .. }));
-        // Invalid pins are not cached.
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
     fn clear_drops_entries_but_keeps_lifetime_stats() {
         let store = PlacementStore::new();
         let (cost, runtime, opt) = fixture(Architecture::HhPim, TinyMlModel::MobileNetV2, 200);
@@ -628,57 +472,6 @@ mod tests {
         // A fresh request rebuilds.
         store.lut(&cost, &runtime, &opt);
         assert_eq!(store.stats().lut_builds, 2);
-    }
-
-    #[test]
-    fn bounded_store_evicts_least_recently_used() {
-        let store = PlacementStore::with_capacity(2);
-        assert_eq!(store.capacity(), Some(2));
-        let a = fixture(Architecture::HhPim, TinyMlModel::MobileNetV2, 120);
-        let b = fixture(Architecture::HhPim, TinyMlModel::MobileNetV2, 130);
-        let c = fixture(Architecture::HhPim, TinyMlModel::MobileNetV2, 140);
-        store.lut(&a.0, &a.1, &a.2);
-        store.lut(&b.0, &b.1, &b.2);
-        // Touch `a` so `b` is the least recently used, then overflow.
-        store.lut(&a.0, &a.1, &a.2);
-        store.lut(&c.0, &c.1, &c.2);
-        assert_eq!(store.len(), 2, "capacity 2 must hold after overflow");
-        assert_eq!(store.stats().evictions, 1);
-        assert!(store.contains_lut(&a.0, &a.1, &a.2), "recently used stays");
-        assert!(store.contains_lut(&c.0, &c.1, &c.2), "newest stays");
-        assert!(!store.contains_lut(&b.0, &b.1, &b.2), "LRU entry evicted");
-        // The evicted key rebuilds on its next request.
-        let builds_before = store.stats().lut_builds;
-        store.lut(&b.0, &b.1, &b.2);
-        assert_eq!(store.stats().lut_builds, builds_before + 1);
-    }
-
-    #[test]
-    fn bounded_store_caps_fixed_homes_too() {
-        let store = PlacementStore::with_capacity(1);
-        let (cost_a, ..) = fixture(Architecture::Hybrid, TinyMlModel::MobileNetV2, 120);
-        let (cost_b, ..) = fixture(Architecture::Baseline, TinyMlModel::MobileNetV2, 120);
-        store.fixed_home(&cost_a, None).unwrap();
-        store.fixed_home(&cost_b, None).unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.stats().evictions, 1);
-        // Re-resolving the evicted home is a fresh miss, not a hit.
-        let misses_before = store.stats().misses;
-        store.fixed_home(&cost_a, None).unwrap();
-        assert_eq!(store.stats().misses, misses_before + 1);
-    }
-
-    #[test]
-    fn unbounded_store_never_evicts() {
-        let store = PlacementStore::new();
-        assert_eq!(store.capacity(), None);
-        for buckets in [110, 115, 125, 135] {
-            let (cost, runtime, opt) =
-                fixture(Architecture::HhPim, TinyMlModel::MobileNetV2, buckets);
-            store.lut(&cost, &runtime, &opt);
-        }
-        assert_eq!(store.len(), 4);
-        assert_eq!(store.stats().evictions, 0);
     }
 
     #[test]

@@ -526,6 +526,8 @@ mod tests {
     use crate::backend::{BackendKind, CycleBackend, ExecMode, ExecutionBackend};
     use crate::policy::{FixedHome, GreedyBaseline, LutAdaptive, PlacementPolicy};
     use crate::runtime::RuntimeConfig;
+    use crate::session::SessionBuilder;
+    use crate::store::PlacementStore;
     use crate::Architecture;
     use hhpim_nn::TinyMlModel;
     use hhpim_workload::{LoadTrace, Scenario, ScenarioParams};
@@ -541,9 +543,13 @@ mod tests {
     }
 
     fn pair(arch: Architecture, policy: &PolicyCtor) -> (CycleBackend, CycleBackend) {
-        let graph = CycleBackend::with_policy(arch, TinyMlModel::MobileNetV2, policy()).unwrap();
-        let mut object =
-            CycleBackend::with_policy(arch, TinyMlModel::MobileNetV2, policy()).unwrap();
+        let builder = SessionBuilder::new()
+            .architecture(arch)
+            .model(TinyMlModel::MobileNetV2)
+            .policy(policy())
+            .store(PlacementStore::shared());
+        let graph = builder.build_cycle().unwrap();
+        let mut object = builder.build_cycle().unwrap();
         object.set_exec_mode(ExecMode::ObjectWalk);
         assert_eq!(graph.exec_mode(), ExecMode::TimingGraph);
         (graph, object)

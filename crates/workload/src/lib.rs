@@ -1,10 +1,11 @@
 //! # hhpim-workload — dynamic inference workloads
 //!
 //! Generators for the six benchmark scenarios of Fig. 4 (constant
-//! low/high, periodic spikes, pulsing, random) and the double-buffered
-//! task queue whose occupancy drives the placement optimizer's
-//! `t_constraint` (paper §III-A/§IV-A). It also holds [`json`], the
-//! reader every on-disk format in the workspace shares.
+//! low/high, periodic spikes, pulsing, random), whose per-slice task
+//! counts ([`LoadTrace::task_counts`]) set the placement optimizer's
+//! `t_constraint` (paper §III-A/§IV-A), and the [`traffic`] load
+//! generators. It also holds [`json`], the reader every on-disk format
+//! in the workspace shares.
 //!
 //! # Examples
 //!
@@ -20,13 +21,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod json;
 pub mod object_trace;
 pub mod scenario;
 pub mod traffic;
 
-pub use buffer::{t_constraint_ps, Task, TaskBuffer};
 pub use object_trace::{object_loads, object_task_counts, ObjectStreamParams};
 pub use scenario::{LoadTrace, Scenario, ScenarioParams, TraceError, TraceOrigin};
 pub use traffic::{

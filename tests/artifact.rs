@@ -93,6 +93,29 @@ fn save_load_round_trips_across_the_matrix() {
     assert_eq!(files, Architecture::ALL.len() * TinyMlModel::ALL.len());
 }
 
+/// `PlacementKey::canonical` names artifact files and is embedded in
+/// them, so its bytes may not drift: this is the default HH-PIM /
+/// MobileNetV2 LUT key as artifact files written since the
+/// `hhpim-key-v1` encoding carry it.
+#[test]
+fn canonical_key_encoding_is_pinned() {
+    let params = CostParams::default();
+    let cost = CostModel::new(
+        Architecture::HhPim.spec(),
+        WorkloadProfile::from_spec(&TinyMlModel::MobileNetV2.spec()),
+        params,
+    )
+    .unwrap();
+    let runtime = RuntimeConfig::reference(TinyMlModel::MobileNetV2, params).unwrap();
+    let key = PlacementKey::for_lut(&cost, &runtime, &OptimizerConfig::default());
+    assert_eq!(
+        key.canonical(),
+        "hhpim-key-v1;arch=hh-pim;hp=4;lp=4;mram=65536;sram=65536;wb=101000;macs=2022400;\
+         gs=512;act=16384;inp=1;ts=4621334980629029192;tb=2000;amort=1;\
+         rf=4607419450359352697;slice=235007366754;maxt=10;variant=lut"
+    );
+}
+
 /// The canonical key embedded in the artifact guards against serving
 /// one configuration's LUT to another, even through a forged file
 /// name swap.

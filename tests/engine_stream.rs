@@ -307,8 +307,8 @@ fn observers_outlive_drain_and_drop_counter_resets() {
     );
 }
 
-/// Backends are `Send` by contract (the parallel `compare` fan-out
-/// moves them across scoped threads).
+/// Backends are `Send` by contract, so an owner can move one to
+/// another thread.
 #[test]
 fn backends_are_send() {
     fn assert_send<T: Send>() {}

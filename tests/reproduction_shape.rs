@@ -139,7 +139,7 @@ fn gating_ablation_baseline_policy_costs_energy() {
 fn dp_off_ablation_degrades_low_load_savings() {
     // With leakage amortization disabled the optimizer stays SRAM-greedy,
     // so low-load energy rises versus the full optimizer.
-    use hhpim::Processor;
+    use hhpim::{default_policy, PlacementStore, Processor};
     use hhpim_workload::LoadTrace;
     // A near-idle load (1 task/slice) gives the longest t_constraint,
     // where leakage-aware placement (LP-MRAM) diverges from the
@@ -154,23 +154,23 @@ fn dp_off_ablation_degrades_low_load_savings() {
     );
     // ResNet-18 has the largest weight footprint and the longest
     // slice, making the retention-vs-access trade-off decisive at idle.
-    let full = Processor::with_params(
-        Architecture::HhPim,
-        TinyMlModel::ResNet18,
-        CostParams::default(),
-        OptimizerConfig::default(),
-    )
-    .unwrap();
-    let greedy = Processor::with_params(
-        Architecture::HhPim,
-        TinyMlModel::ResNet18,
-        CostParams::default(),
-        OptimizerConfig {
-            amortize_static: false,
-            ..OptimizerConfig::default()
-        },
-    )
-    .unwrap();
+    let store = PlacementStore::new();
+    let processor = |opt: OptimizerConfig| {
+        Processor::with_policy_in(
+            Architecture::HhPim,
+            TinyMlModel::ResNet18,
+            CostParams::default(),
+            opt,
+            default_policy(Architecture::HhPim),
+            &store,
+        )
+        .unwrap()
+    };
+    let full = processor(OptimizerConfig::default());
+    let greedy = processor(OptimizerConfig {
+        amortize_static: false,
+        ..OptimizerConfig::default()
+    });
     let e_full = full.run_trace(&trace).total_energy();
     let e_greedy = greedy.run_trace(&trace).total_energy();
     assert!(

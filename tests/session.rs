@@ -1,18 +1,18 @@
 //! Contract tests for the `hhpim::session` facade: determinism of the
-//! builder pipeline, the process-local store behind the store-less
-//! constructors, and policy selectability end to end.
+//! builder pipeline, the store each session owns by default, and
+//! policy selectability end to end.
 //! (`tests/backend_parity.rs` property-tests the `Session::compare`
 //! energy bound.)
 
 use hhpim::session::{SessionBuilder, SessionError};
 use hhpim::{
-    AnalyticBackend, Architecture, BackendKind, CostModel, CostModelError, CostParams,
-    ExecutionBackend, FixedHome, GreedyBaseline, LutAdaptive, OptimizerConfig, PlacementStore,
-    Processor, RuntimeConfig, StorageSpace, WorkloadProfile,
+    Architecture, BackendKind, CostModelError, CostParams, FixedHome, GreedyBaseline, LutAdaptive,
+    OptimizerConfig, StorageSpace,
 };
 use hhpim_nn::TinyMlModel;
-use hhpim_workload::{LoadTrace, Scenario, ScenarioParams};
+use hhpim_workload::{Scenario, ScenarioParams};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 mod common;
 use common::assert_reports_identical;
@@ -58,57 +58,40 @@ fn same_seed_produces_identical_traces_and_artifacts() {
     assert_ne!(a.trace, c.trace);
 }
 
-/// The store-less constructors route through the process-local
-/// `PlacementStore`: building a `Processor` leaves its LUT in the
-/// global cache, and the builder path drawing on the same
-/// configuration produces bit-identical reports.
+/// A session built without `.store(..)` owns a fresh store: two such
+/// sessions share nothing, each pays its own single LUT build for
+/// both of its backends, and their reports on one trace agree to the
+/// bit.
 #[test]
-fn store_less_constructors_route_through_the_process_local_store() {
-    // A DP resolution no other test uses, so this key's presence in
-    // the global store is attributable to this test alone.
-    let opt = OptimizerConfig {
-        time_buckets: 517,
-        ..OptimizerConfig::default()
+fn sessions_without_an_explicit_store_share_nothing() {
+    let build = || {
+        SessionBuilder::new()
+            .model(TinyMlModel::MobileNetV2)
+            .scenario(Scenario::PeriodicSpike)
+            .scenario_params(params(6, 7))
+            .backend(BackendKind::Analytic)
+            .backend(BackendKind::Cycle)
+            .build()
+            .unwrap()
     };
-    let cost_params = CostParams::default();
-    let cost = CostModel::new(
-        Architecture::HhPim.spec(),
-        WorkloadProfile::from_spec(&TinyMlModel::MobileNetV2.spec()),
-        cost_params,
-    )
-    .unwrap();
-    let runtime = RuntimeConfig::reference(TinyMlModel::MobileNetV2, cost_params).unwrap();
-    let global = PlacementStore::global();
+    let (mut a, mut b) = (build(), build());
     assert!(
-        !global.contains_lut(&cost, &runtime, &opt),
-        "key must be cold before the processor is built"
+        !Arc::ptr_eq(a.store(), b.store()),
+        "each session must own its store"
     );
-
-    let processor = Processor::with_params(
-        Architecture::HhPim,
-        TinyMlModel::MobileNetV2,
-        cost_params,
-        opt,
-    )
-    .unwrap();
-    assert!(
-        global.contains_lut(&cost, &runtime, &opt),
-        "Processor::with_params must populate the process-local store"
-    );
-
-    // The builder path reuses the cached LUT and agrees to the bit.
-    let mut direct = AnalyticBackend::from_processor(processor);
-    let mut via_builder = SessionBuilder::new()
-        .architecture(Architecture::HhPim)
-        .model(TinyMlModel::MobileNetV2)
-        .optimizer(opt)
-        .build_analytic()
-        .unwrap();
-    let trace = LoadTrace::generate(Scenario::PeriodicSpike, params(6, 7));
-    assert_reports_identical(
-        &direct.execute(&trace).unwrap(),
-        &via_builder.execute(&trace).unwrap(),
-    );
+    let (ra, rb) = (a.run().unwrap(), b.run().unwrap());
+    for session in [&a, &b] {
+        let stats = session.cache_stats();
+        assert_eq!(
+            (stats.lut_builds, stats.misses, stats.hits),
+            (1, 1, 0),
+            "one LUT build, made in the session's own store: {stats:?}"
+        );
+    }
+    assert_eq!(ra.trace, rb.trace);
+    for (x, y) in ra.reports.iter().zip(&rb.reports) {
+        assert_reports_identical(x, y);
+    }
 }
 
 /// A pinned placement the architecture cannot hold is rejected when
@@ -238,41 +221,6 @@ fn zero_slice_closure_source_is_a_typed_trace_error() {
         session.run().unwrap_err(),
         hhpim::SessionError::Trace(hhpim_workload::TraceError::Empty)
     ));
-}
-
-/// Satellite: `Session::compare` fans its backends out across scoped
-/// threads when `threads(n) > 1`, bit-identical to the serial run.
-#[test]
-fn parallel_compare_is_bit_identical_to_serial() {
-    let build = |threads: usize| {
-        SessionBuilder::new()
-            .model(TinyMlModel::MobileNetV2)
-            .scenario(Scenario::PeriodicSpike)
-            .scenario_params(params(4, 5))
-            .backend(BackendKind::Analytic)
-            .backend(BackendKind::Cycle)
-            .threads(threads)
-            .build()
-            .unwrap()
-    };
-    let serial = build(1).compare().unwrap();
-    for threads in [2, 4] {
-        let parallel = build(threads).compare().unwrap();
-        assert_eq!(parallel.artifacts.trace, serial.artifacts.trace);
-        assert_eq!(
-            parallel.artifacts.reports.len(),
-            serial.artifacts.reports.len()
-        );
-        for (p, s) in parallel
-            .artifacts
-            .reports
-            .iter()
-            .zip(&serial.artifacts.reports)
-        {
-            assert_reports_identical(p, s);
-        }
-        assert!(parallel.deadline_misses_agree());
-    }
 }
 
 proptest! {

@@ -1,6 +1,7 @@
 //! Store-semantics contract tests: one DP build per distinct
 //! configuration across sessions, backends and sweeps; parallel
-//! sweeps bit-identical to serial ones.
+//! sweeps bit-identical to serial ones; a panicking build poisons
+//! nothing.
 
 use hhpim::session::SessionBuilder;
 use hhpim::{
@@ -140,17 +141,18 @@ fn dual_backend_build_plus_sweep_all_builds_each_lut_once() {
          MobileNetV2 reuses the session's LUT"
     );
     // The sweep hoists processors per model, so the store sees exactly
-    // one query per (architecture, model): 3 LUTs (one already warm
-    // from the session build — the single hit) + 9 fixed homes.
-    assert_eq!(stats.misses, 12, "one prepare per (arch, model): {stats:?}");
+    // one LUT query per model: 3 LUTs, one already warm from the
+    // session build (the single hit). The 9 fixed homes of the other
+    // architectures never touch the store.
+    assert_eq!(stats.misses, 3, "one LUT query per model: {stats:?}");
     assert_eq!(stats.hits, 1, "the session's own LUT is the only rehit");
 
-    // A second sweep on the warm store builds nothing further — every
-    // one of its 12 queries hits.
+    // A second sweep on the warm store builds nothing further — each
+    // of its 3 LUT queries hits.
     session.sweep_all().unwrap();
     let rewarmed = session.cache_stats();
     assert_eq!(rewarmed.lut_builds, TinyMlModel::ALL.len() as u64);
-    assert_eq!((rewarmed.misses, rewarmed.hits), (12, 13));
+    assert_eq!((rewarmed.misses, rewarmed.hits), (3, 4));
     assert_eq!(
         rewarmed.build_time, stats.build_time,
         "a warm sweep accrues no further build time"
@@ -268,4 +270,39 @@ fn processors_share_an_explicit_store() {
     for n in [1u32, 4, 10] {
         assert_eq!(a.placement_for_tasks(n), b.placement_for_tasks(n));
     }
+}
+
+/// A build that panics poisons nothing: its key stays unbuilt, no
+/// counter moves, and the same store goes on serving other keys with
+/// LUTs equal to a fresh store's. A NaN `retention_factor` reaches the
+/// DP only through a direct `PlacementStore::lut` call (the builders
+/// reject it first), and panics there.
+#[test]
+fn a_panicking_build_leaves_the_store_serving() {
+    let store = PlacementStore::new();
+    let params = CostParams::default();
+    let cost = CostModel::new(
+        Architecture::HhPim.spec(),
+        WorkloadProfile::from_spec(&TinyMlModel::MobileNetV2.spec()),
+        params,
+    )
+    .unwrap();
+    let runtime = RuntimeConfig::reference(TinyMlModel::MobileNetV2, params).unwrap();
+    let nan = OptimizerConfig {
+        retention_factor: f64::NAN,
+        ..quick_opt()
+    };
+    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        store.lut(&cost, &runtime, &nan)
+    }));
+    assert!(built.is_err(), "a NaN retention factor panics in the DP");
+    assert!(!store.contains_lut(&cost, &runtime, &nan));
+    assert!(store.is_empty());
+
+    let opt = quick_opt();
+    let served = store.lut(&cost, &runtime, &opt);
+    assert_eq!(*served, *PlacementStore::new().lut(&cost, &runtime, &opt));
+    assert!(store.contains_lut(&cost, &runtime, &opt));
+    let stats = store.stats();
+    assert_eq!((stats.lut_builds, stats.misses, stats.hits), (1, 1, 0));
 }
