@@ -513,6 +513,9 @@ pub struct CycleBackend {
     run: Option<CycleRun>,
     mode: ExecMode,
     graph: TimeGraph,
+    /// Staging buffer for cross-module migration chunks, reused across
+    /// migrations.
+    transfer_buf: Vec<u8>,
 }
 
 /// How [`CycleBackend`] executes the per-task instruction stream.
@@ -615,6 +618,7 @@ impl CycleBackend {
             run: None,
             mode: ExecMode::default(),
             graph: TimeGraph::new(),
+            transfer_buf: Vec::new(),
         };
         backend.refresh_head()?;
         backend.enter_idle()?;
@@ -706,7 +710,7 @@ impl CycleBackend {
         }
         self.wake_for(self.placement, target)?;
         let mut scratch = EnergyLedger::new();
-        let record = self.migrate(0, target, &mut scratch)?;
+        let (record, _) = self.migrate(0, target, &mut scratch)?;
         self.enter_idle()?;
         Ok(record)
     }
@@ -727,21 +731,6 @@ impl CycleBackend {
         }
     }
 
-    /// Global indices of the modules in clusters the placement keeps
-    /// busy (every machine has at least one occupied cluster).
-    fn active_modules(&self) -> Vec<usize> {
-        let mut modules = Vec::new();
-        for class in ClusterClass::ALL {
-            if self.placement.cluster_total(class) > 0 {
-                modules.extend(self.cluster_modules(class));
-            }
-        }
-        if modules.is_empty() {
-            modules.extend(0..self.machine.module_count());
-        }
-        modules
-    }
-
     /// The head follows the bulk of the weights: it stays in SRAM while
     /// any SRAM space is occupied (those banks are powered anyway) and
     /// retreats into non-volatile MRAM when the placement is MRAM-only,
@@ -758,9 +747,20 @@ impl CycleBackend {
     /// Recomputes the head's residency for the current placement and
     /// re-installs its rows (the runtime's data allocator re-homes the
     /// whole network; the ~1 kB head rides along with the bulk
-    /// migration whose traffic is metered separately).
+    /// migration whose traffic is metered separately). The head spans
+    /// the modules of every cluster the placement keeps busy, or the
+    /// whole machine if none is.
     fn refresh_head(&mut self) -> Result<(), BackendError> {
-        self.head_modules = self.active_modules();
+        self.head_modules.clear();
+        for class in ClusterClass::ALL {
+            if self.placement.cluster_total(class) > 0 {
+                let modules = self.cluster_modules(class);
+                self.head_modules.extend(modules);
+            }
+        }
+        if self.head_modules.is_empty() {
+            self.head_modules.extend(0..self.machine.module_count());
+        }
         self.head_home = self.head_home_for(&self.placement);
         if let Some(head) = self.program.head() {
             head.install(&mut self.machine, &self.head_modules, self.head_home)
@@ -815,13 +815,13 @@ impl CycleBackend {
         }
         let now = self.machine.now();
         for class in ClusterClass::ALL {
-            let modules: Vec<usize> = self.cluster_modules(class).collect();
+            let modules = self.cluster_modules(class);
             if modules.is_empty() {
                 continue;
             }
             let sram_space = StorageSpace::of_cluster(class)[1];
             let weight_banks = self.placement.get(sram_space).min(modules.len());
-            for (local, &g) in modules.iter().enumerate() {
+            for (local, g) in modules.enumerate() {
                 if self.machine.module(g).has_mram() {
                     self.machine
                         .module_mut(g)
@@ -858,37 +858,40 @@ impl CycleBackend {
     /// Executes the weight migration from the current placement to
     /// `target` on the machine and accounts its dynamic traffic into
     /// `migration_dyn` (reclassified as [`EnergyCat::Movement`] at
-    /// report time).
+    /// report time). Returns the record and the leg plan it executed.
     fn migrate(
         &mut self,
         slice: usize,
         target: Placement,
         migration_dyn: &mut EnergyLedger<hhpim_pim::EnergyCat>,
-    ) -> Result<MigrationRecord, BackendError> {
+    ) -> Result<(MigrationRecord, Vec<MovementLeg>), BackendError> {
         let from = self.placement;
         let start = self.machine.now();
-        let before = self.machine.report();
+        let before = self.machine.probe().mem_dynamic;
         let group = self.processor.cost().params().group_size;
+        let legs = movement_legs(&from, &target);
         let mut groups = 0usize;
-        for leg in movement_legs(&from, &target) {
+        for &leg in &legs {
             groups += leg.groups;
             self.transfer_leg(leg, leg.groups * group)?;
         }
         self.machine.execute(PimInstruction::Barrier)?;
-        let after = self.machine.report();
+        let after = self.machine.probe().mem_dynamic;
+        // Walk the categories in the machine ledger's key order (HP
+        // before LP, SRAM before MRAM), so the sum matches a ledger walk.
         let mut moved_energy = Energy::ZERO;
-        for (&cat, e) in after.energy.iter() {
-            if let hhpim_pim::EnergyCat::MemDynamic(..) = cat {
-                let delta = e.saturating_sub(before.energy.get(cat));
+        for (ci, class) in ClusterClass::ALL.into_iter().enumerate() {
+            for (ki, kind) in [(0, MemKind::Sram), (1, MemKind::Mram)] {
+                let delta = after[ci][ki].saturating_sub(before[ci][ki]);
                 if delta.as_pj() > 0.0 {
-                    migration_dyn.add(cat, delta);
+                    migration_dyn.add(hhpim_pim::EnergyCat::MemDynamic(class, kind), delta);
                     moved_energy += delta;
                 }
             }
         }
         self.placement = target;
         self.refresh_head()?;
-        Ok(MigrationRecord {
+        let record = MigrationRecord {
             slice,
             from,
             to: target,
@@ -900,7 +903,8 @@ impl CycleBackend {
                 .saturating_since(start)
                 .mul_f64(self.time_scale),
             energy: moved_energy * self.time_scale,
-        })
+        };
+        Ok((record, legs))
     }
 
     /// Moves `bytes` of one migration leg: lanes pair source and
@@ -910,8 +914,8 @@ impl CycleBackend {
     /// legs read on one side and write on the other through the Data
     /// Allocator's MEM interface.
     fn transfer_leg(&mut self, leg: MovementLeg, bytes: usize) -> Result<(), BackendError> {
-        let src_mods: Vec<usize> = self.cluster_modules(leg.src.cluster()).collect();
-        let dst_mods: Vec<usize> = self.cluster_modules(leg.dst.cluster()).collect();
+        let src_mods = self.cluster_modules(leg.src.cluster());
+        let dst_mods = self.cluster_modules(leg.dst.cluster());
         if src_mods.is_empty() || dst_mods.is_empty() {
             return Ok(());
         }
@@ -931,8 +935,11 @@ impl CycleBackend {
         let base = bytes / lanes;
         let rem = bytes % lanes;
         let at = self.machine.now();
-        for (i, &src_g) in src_mods.iter().enumerate() {
-            let dst_g = dst_mods[i % dst_mods.len()];
+        if self.transfer_buf.len() < chunk_max {
+            self.transfer_buf.resize(chunk_max, 0);
+        }
+        for (i, src_g) in src_mods.enumerate() {
+            let dst_g = dst_mods.start + i % dst_mods.len();
             let mut remaining = base + usize::from(i < rem);
             while remaining > 0 {
                 let chunk = remaining.min(chunk_max);
@@ -942,14 +949,15 @@ impl CycleBackend {
                         .move_intra(at, src_mem, 0, chunk)
                         .map_err(|e| Self::module_err(src_g, e))?;
                 } else {
-                    let (done, data) = self
+                    let data = &mut self.transfer_buf[..chunk];
+                    let done = self
                         .machine
                         .module_mut(src_g)
-                        .read_words(at, src_mem, 0, chunk)
+                        .read_words_into(at, src_mem, 0, data)
                         .map_err(|e| Self::module_err(src_g, e))?;
                     self.machine
                         .module_mut(dst_g)
-                        .write_words(done, dst_mem, 0, &data)
+                        .write_words(done, dst_mem, 0, data)
                         .map_err(|e| Self::module_err(dst_g, e))?;
                 }
                 remaining -= chunk;
@@ -1040,14 +1048,15 @@ impl CycleBackend {
     }
 
     /// One slice on the machine: re-place if the queue length changed,
-    /// run the tasks, then gate down for the idle remainder.
+    /// run the tasks, then gate down for the idle remainder. Returns the
+    /// leg plan of the slice's re-placement, if it made one.
     fn do_slice(
         &mut self,
         run: &mut CycleRun,
         event_now: SimTime,
         slice: usize,
         n_tasks: u32,
-    ) -> Result<(), BackendError> {
+    ) -> Result<Option<Vec<MovementLeg>>, BackendError> {
         // Work may overrun a slice; the backlog then delays the next
         // slice's start, exactly like a busy port.
         let slice_start = event_now.max(self.machine.now());
@@ -1101,7 +1110,7 @@ impl CycleBackend {
         let n = n_tasks.max(1) as u64;
         let t_constraint = usable / n;
         let task_time = busy.mul_f64(scale) / n;
-        let total = self.machine.report().total_energy();
+        let total = self.machine.probe().total;
         run.records.push(SliceRecord {
             slice,
             n_tasks,
@@ -1109,15 +1118,15 @@ impl CycleBackend {
             t_constraint,
             task_time,
             movement_time,
-            groups_moved: migration.as_ref().map(|m| m.groups).unwrap_or(0),
+            groups_moved: migration.as_ref().map(|(m, _)| m.groups).unwrap_or(0),
             deadline_met: task_time <= t_constraint,
             energy: total.saturating_sub(run.prev_total) * scale,
         });
         run.prev_total = total;
-        if let Some(m) = migration {
+        Ok(migration.map(|(m, legs)| {
             run.migrations.push(m);
-        }
-        Ok(())
+            legs
+        }))
     }
 
     /// One streaming step: boot on the first slice (its placement is
@@ -1138,7 +1147,7 @@ impl CycleBackend {
         let event_now = run.start_now + run.native_slice * run.slice as u64;
         let slice = run.slice;
         let from = self.placement;
-        self.do_slice(run, event_now, slice, n_tasks)?;
+        let legs = self.do_slice(run, event_now, slice, n_tasks)?;
         let to = self.placement;
         let record = run
             .records
@@ -1154,11 +1163,7 @@ impl CycleBackend {
         run.slice += 1;
         Ok(SliceOutcome {
             record,
-            replacement: (from != to).then(|| ReplacementDecision {
-                from,
-                to,
-                legs: movement_legs(&from, &to),
-            }),
+            replacement: legs.map(|legs| ReplacementDecision { from, to, legs }),
             migration,
             idle,
         })

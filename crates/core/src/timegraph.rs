@@ -33,6 +33,12 @@
 //!   total is bit-identical to `report().total_energy()` without
 //!   building a ledger.
 //!
+//! The slice boundary around the replay reads the same probe, in both
+//! execution modes: `total` gives the slice energy, and the
+//! `mem_dynamic` deltas around a migration give its movement energy.
+//! Apart from the growth of the stream's records, a replayed slice
+//! that does not re-place allocates nothing.
+//!
 //! Because every replayed operation performs the same floating-point
 //! additions in the same order as the object walk, the resulting
 //! [`crate::ExecutionReport`]s are **bit-identical** — the equivalence

@@ -117,17 +117,25 @@ impl Default for MachineConfig {
 }
 
 /// Allocation-free snapshot of the machine's observable totals, for
-/// tight replay loops that only need deltas between instants.
+/// loops that only need deltas between instants: the timing-graph
+/// replay's per-layer accounting, and the cycle backend's slice total
+/// and migration energy.
 ///
 /// [`PimMachine::probe`] performs the same static-energy accrual and
 /// the same per-module, then per-category f64 additions as
-/// [`PimMachine::report`], so `total` is bit-identical to
-/// `report().total_energy()` — without building a ledger.
+/// [`PimMachine::report`], so every field is bit-identical to what the
+/// ledger would hold — without building one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineProbe {
     /// Total energy across every category, bit-identical to
     /// `report().total_energy()`.
     pub total: Energy,
+    /// Dynamic memory energy indexed `[class][kind]` (class 0 = HP,
+    /// 1 = LP; kind 0 = SRAM, 1 = MRAM), each bit-identical to
+    /// `report().energy.get(EnergyCat::MemDynamic(class, kind))`, and
+    /// zero where `report()` inserts no such entry (an absent cluster,
+    /// or MRAM on SRAM-only modules).
+    pub mem_dynamic: [[Energy; 2]; 2],
     /// MAC operations retired across all PEs.
     pub macs: u64,
 }
@@ -663,13 +671,15 @@ impl PimMachine {
         }
     }
 
-    /// Snapshots total energy and retired MACs without allocating.
+    /// Snapshots total energy, dynamic memory energy and retired MACs
+    /// without allocating.
     ///
     /// Performs [`PimMachine::report`]'s static-energy accrual, then
     /// accumulates each ledger category in the same per-module order
     /// and folds the categories in the ledger's key order — so `total`
-    /// is bit-identical to `report().total_energy()` while the hot
-    /// replay loop pays neither `BTreeMap` nor `Vec`.
+    /// is bit-identical to `report().total_energy()`, and
+    /// `mem_dynamic` to the ledger's `MemDynamic` entries, while no
+    /// ledger is built.
     pub fn probe(&mut self) -> MachineProbe {
         let now = self.now;
         if let Some(c) = self.hp.as_mut() {
@@ -734,7 +744,11 @@ impl PimMachine {
                 }
             }
         }
-        MachineProbe { total, macs }
+        MachineProbe {
+            total,
+            mem_dynamic: mem_dyn,
+            macs,
+        }
     }
 }
 
@@ -978,18 +992,49 @@ mod tests {
         ];
         for cfg in shapes {
             let mut m = PimMachine::new(cfg);
-            m.mac_stream(ModuleMask::single(0), MemSelect::Sram, 0, 700)
-                .unwrap();
+            // Traffic into both memories of every present cluster: an
+            // SRAM and an MRAM stream on its first module, plus an
+            // MRAM→SRAM copy.
+            for (lo, n) in [(0, cfg.hp_modules), (cfg.hp_modules, cfg.lp_modules)] {
+                if n == 0 {
+                    continue;
+                }
+                let mask = ModuleMask::single(lo as u8);
+                m.mac_stream(mask, MemSelect::Sram, 0, 700).unwrap();
+                if m.module(lo).has_mram() {
+                    m.mac_stream(mask, MemSelect::Mram, 0, 300).unwrap();
+                    m.execute(PimInstruction::MoveIntra {
+                        modules: mask,
+                        mem: MemSelect::Mram,
+                        addr: 0,
+                        count: 64,
+                    })
+                    .unwrap();
+                }
+            }
             m.execute(PimInstruction::Barrier).unwrap();
             m.idle_until(m.now() + hhpim_sim::SimDuration::from_ns(12_345));
             let p = m.probe();
             let r = m.report();
             assert_eq!(
-                p.total.as_pj(),
-                r.total_energy().as_pj(),
+                p.total.as_pj().to_bits(),
+                r.total_energy().as_pj().to_bits(),
                 "probe must reproduce the ledger fold bit for bit ({cfg:?})"
             );
             assert_eq!(p.macs, r.macs);
+            for (ci, class) in ClusterClass::ALL.into_iter().enumerate() {
+                for (ki, kind) in [(0, MemKind::Sram), (1, MemKind::Mram)] {
+                    let entry = r.energy.get(EnergyCat::MemDynamic(class, kind));
+                    assert_eq!(
+                        p.mem_dynamic[ci][ki].as_pj().to_bits(),
+                        entry.as_pj().to_bits(),
+                        "MemDynamic({class:?}, {kind:?}) ({cfg:?})"
+                    );
+                    let metered = cfg.module.mram_bytes > 0 || kind == MemKind::Sram;
+                    let present = [cfg.hp_modules, cfg.lp_modules][ci] > 0;
+                    assert_eq!(entry.as_pj() > 0.0, present && metered);
+                }
+            }
             // Probing performs the same accrual side effects as
             // reporting: a second pair still agrees.
             assert_eq!(m.probe().total.as_pj(), m.report().total_energy().as_pj());

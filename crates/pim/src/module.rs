@@ -18,7 +18,7 @@ use hhpim_mem::{
     pe_for, tech_for, AccessKind, BankError, ClusterClass, Energy, MemKind, MemoryBank,
     ResolvedAccess,
 };
-use hhpim_sim::{SimTime, Summary};
+use hhpim_sim::SimTime;
 use std::fmt;
 
 /// Errors raised by module operations.
@@ -93,7 +93,6 @@ pub struct PimModule {
     act_ptr: usize,
     act_base: usize,
     free_at: SimTime,
-    mac_burst_latency: Summary,
 }
 
 impl PimModule {
@@ -121,7 +120,6 @@ impl PimModule {
             act_ptr: config.act_base,
             act_base: config.act_base,
             free_at: SimTime::ZERO,
-            mac_burst_latency: Summary::new(),
         }
     }
 
@@ -165,11 +163,6 @@ impl PimModule {
     /// Instant at which the module completes all issued work.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// Distribution of MAC-burst latencies (ns), for reports.
-    pub fn mac_burst_latency(&self) -> &Summary {
-        &self.mac_burst_latency
     }
 
     /// Advances static-energy accrual of all powered components to `now`.
@@ -301,8 +294,6 @@ impl PimModule {
         let done = self.pe.mac_burst(operands_ready, &pairs);
         self.act_ptr += count;
         self.free_at = done;
-        self.mac_burst_latency
-            .add(done.saturating_since(at).as_ns_f64());
         Ok(done)
     }
 
@@ -340,8 +331,6 @@ impl PimModule {
         let operands_ready = w_done.max(a_done);
         let done = self.pe.mac_stream(operands_ready, count as u64);
         self.free_at = done;
-        self.mac_burst_latency
-            .add(done.saturating_since(at).as_ns_f64());
         Ok(done)
     }
 
@@ -391,8 +380,6 @@ impl PimModule {
             .mac_burst_prefolded(operands_ready, delta, count as u64);
         self.act_ptr += count;
         self.free_at = done;
-        self.mac_burst_latency
-            .add(done.saturating_since(at).as_ns_f64());
         Ok(done)
     }
 
@@ -422,8 +409,6 @@ impl PimModule {
         let operands_ready = w_done.max(a_done);
         let done = self.pe.mac_stream(operands_ready, count as u64);
         self.free_at = done;
-        self.mac_burst_latency
-            .add(done.saturating_since(at).as_ns_f64());
         Ok(done)
     }
 
@@ -480,8 +465,11 @@ impl PimModule {
             .bank_mut(to)?
             .access(read_done, AccessKind::Write, count as u64)?
             .done_at;
-        let bytes: Vec<u8> = self.data(from)[addr..addr + count].to_vec();
-        self.data_mut(to)[addr..addr + count].copy_from_slice(&bytes);
+        let (src, dst) = match from {
+            MemSelect::Mram => (&self.mram_data, &mut self.sram_data),
+            MemSelect::Sram => (&self.sram_data, &mut self.mram_data),
+        };
+        dst[addr..addr + count].copy_from_slice(&src[addr..addr + count]);
         // Occupancy: data now live in both banks until explicitly freed.
         let to_bank = self.bank_mut(to)?;
         let free = to_bank.free_bytes();
@@ -503,15 +491,38 @@ impl PimModule {
         addr: usize,
         count: usize,
     ) -> Result<(SimTime, Vec<u8>), ModuleError> {
+        // Range-check before allocating, so a bad `count` errors
+        // instead of sizing the buffer.
+        self.check_range(mem, addr, count)?;
+        let mut bytes = vec![0; count];
+        let done = self.read_words_into(at, mem, addr, &mut bytes)?;
+        Ok((done, bytes))
+    }
+
+    /// [`Self::read_words`] into a caller-owned buffer: reads
+    /// `out.len()` bytes with the same timing and energy, so transfer
+    /// loops can reuse one buffer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bank and range errors.
+    pub fn read_words_into(
+        &mut self,
+        at: SimTime,
+        mem: MemSelect,
+        addr: usize,
+        out: &mut [u8],
+    ) -> Result<SimTime, ModuleError> {
         let at = at.max(self.free_at);
+        let count = out.len();
         self.check_range(mem, addr, count)?;
         let done = self
             .bank_mut(mem)?
             .access(at, AccessKind::Read, count as u64)?
             .done_at;
-        let bytes = self.data(mem)[addr..addr + count].to_vec();
+        out.copy_from_slice(&self.data(mem)[addr..addr + count]);
         self.free_at = done;
-        Ok((done, bytes))
+        Ok(done)
     }
 
     /// Timed write of bytes (inter-cluster arrivals and external loads).

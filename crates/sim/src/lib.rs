@@ -15,7 +15,6 @@
 //! * [`TimeQueue`] — indexed, monotone per-slot completion instants
 //!   with an `O(1)` running maximum for flat timing-graph replay
 //!   ([`timeq`]).
-//! * [`Summary`] — streaming statistics ([`stats`]).
 //!
 //! # Examples
 //!
@@ -36,11 +35,9 @@
 #![warn(missing_docs)]
 
 pub mod resource;
-pub mod stats;
 pub mod time;
 pub mod timeq;
 
 pub use resource::BusyResource;
-pub use stats::Summary;
 pub use time::{Clock, Frequency, SimDuration, SimTime};
 pub use timeq::TimeQueue;
