@@ -60,7 +60,7 @@ use crate::space::{movement_legs, MovementLeg, Placement, StorageSpace};
 use crate::timegraph::TimeGraph;
 use hhpim_isa::{MemSelect, ModuleMask, PimInstruction};
 use hhpim_mem::{ClusterClass, Energy, EnergyLedger, MemKind};
-use hhpim_nn::{QuantizedModel, TinyMlModel};
+use hhpim_nn::{LayerWeights, TinyMlModel};
 use hhpim_pim::{MachineConfig, MachineError, ModuleConfig, PimMachine};
 use hhpim_sim::{SimDuration, SimTime};
 use hhpim_workload::LoadTrace;
@@ -542,13 +542,19 @@ fn mem_select(kind: MemKind) -> MemSelect {
     }
 }
 
+/// Seed of the weight stream the bit-exact head's weights are drawn
+/// from.
+const HEAD_WEIGHT_SEED: u64 = 0xDAC;
+
 impl CycleBackend {
     /// Builds the backend: shapes the machine after the architecture's
-    /// Table I row, lowers the whole model into a [`CompiledProgram`],
-    /// and adopts the analytic runtime's slice timing and allocation
-    /// LUT so deadlines and placements mean the same thing on both
-    /// backends. Calibration, policy and placement store are
-    /// [`Processor::new`]'s defaults.
+    /// Table I row, lowers every PIM layer of the model into a
+    /// [`CompiledProgram`], and adopts the analytic runtime's slice
+    /// timing and allocation LUT so deadlines and placements mean the
+    /// same thing on both backends. Only the classifier head executes
+    /// bit-exactly, so only its weights are drawn (see
+    /// [`CycleBackend::from_processor`]). Calibration, policy and
+    /// placement store are [`Processor::new`]'s defaults.
     ///
     /// # Errors
     ///
@@ -562,6 +568,12 @@ impl CycleBackend {
     /// Builds the backend around an already-constructed analytic twin
     /// (the session builder's entry point: the processor carries the
     /// calibration, optimizer settings and placement policy).
+    ///
+    /// The program is compiled from the model descriptor plus the
+    /// head's weights, drawn with [`LayerWeights::random`] at seed
+    /// `0xDAC`: the bytes a fully materialized random network at that
+    /// seed gives its head, without drawing the layers that run as MAC
+    /// schedules.
     ///
     /// # Errors
     ///
@@ -586,12 +598,14 @@ impl CycleBackend {
             ..MachineConfig::default()
         });
 
-        let qm = QuantizedModel::random(model.build(), 0xDAC);
-        let program =
-            compile_model(&qm, processor.cost().profile().pim_macs).map_err(|e| match e {
-                CompileError::NotLinear { .. } => BackendError::NoPimLayer { model },
-                other => BackendError::Compile(other),
-            })?;
+        let net = model.build();
+        let program = compile_model(&net, processor.cost().profile().pim_macs, |head| {
+            LayerWeights::random(&net, head, HEAD_WEIGHT_SEED)
+        })
+        .map_err(|e| match e {
+            CompileError::NotLinear { .. } => BackendError::NoPimLayer { model },
+            other => BackendError::Compile(other),
+        })?;
         // A fixed, value-diverse activation vector for the head; the
         // machine's timing/energy is data-independent, so any input
         // serves.

@@ -20,12 +20,18 @@
 //!   machine is data-independent), so schedules carry counts, not
 //!   weights.
 //!
+//! So [`compile_model`] reads the [`Model`] descriptor for every layer
+//! and weight values for the head alone: the caller hands over that one
+//! layer's [`LayerWeights`], for instance drawn by
+//! [`LayerWeights::random`] without materializing the rest of the
+//! network.
+//!
 //! [`CycleBackend`](crate::CycleBackend) executes one
 //! [`CompiledProgram`] per inference task, splitting each layer across
 //! storage spaces according to the placement currently in effect.
 
 use hhpim_isa::{MemSelect, ModuleMask, PimInstruction};
-use hhpim_nn::{Layer, QuantizedModel};
+use hhpim_nn::{Layer, LayerWeights, Model};
 use hhpim_pim::{MachineError, PimMachine};
 use std::fmt;
 
@@ -60,6 +66,11 @@ pub enum CompileError {
         /// Offending layer index.
         layer: usize,
     },
+    /// The weights handed over do not have the layer's shape.
+    WeightShape {
+        /// Offending layer index.
+        layer: usize,
+    },
     /// A row is too long for a single module pass (> activation region).
     RowTooLong {
         /// Input features required.
@@ -74,6 +85,9 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::NotLinear { layer } => write!(f, "layer {layer} is not linear"),
             CompileError::NoWeights { layer } => write!(f, "layer {layer} has no weights"),
+            CompileError::WeightShape { layer } => {
+                write!(f, "weights do not match layer {layer}'s shape")
+            }
             CompileError::RowTooLong { in_features } => {
                 write!(f, "{in_features} input features exceed one module pass")
             }
@@ -115,10 +129,10 @@ pub struct CompiledLayer {
     pub op: LayerOp,
 }
 
-/// A whole quantized model lowered for per-task execution on the cycle
-/// machine: one entry per PIM layer (host-side layers — pooling,
-/// activations, residual adds — run outside the machine, as in the
-/// paper's prototype).
+/// A model lowered for per-task execution on the cycle machine: one
+/// entry per PIM layer (host-side layers — pooling, activations,
+/// residual adds — run outside the machine, as in the paper's
+/// prototype).
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     layers: Vec<CompiledLayer>,
@@ -146,7 +160,7 @@ impl CompiledProgram {
     }
 }
 
-/// Lowers every PIM layer of `qm` into a [`CompiledProgram`].
+/// Lowers every PIM layer of `model` into a [`CompiledProgram`].
 ///
 /// `pim_macs_per_task` is the workload profile's per-task PIM MAC count
 /// (Table IV `#MAC × PIM-op ratio`); the built model's per-layer MAC
@@ -155,15 +169,23 @@ impl CompiledProgram {
 /// with ≤ 255 input features becomes the bit-exact [`HeadPlan`]; all
 /// other conv/linear layers become traffic schedules.
 ///
+/// Only the head reads weight values. `head_weights` is called once,
+/// with the head's layer index, if the model has a head, and returns
+/// that layer's weights: `|i| qm.layer_weights(i).cloned()` for a
+/// [`QuantizedModel`](hhpim_nn::QuantizedModel) `qm`, or
+/// `|i| LayerWeights::random(&model, i, seed)` to draw that one layer.
+///
 /// # Errors
 ///
 /// Returns [`CompileError::NotLinear`] if the model has no PIM layer at
-/// all.
+/// all, [`CompileError::NoWeights`] if `head_weights` returns `None`,
+/// and [`lower_head`]'s errors for the head.
 pub fn compile_model(
-    qm: &QuantizedModel,
+    model: &Model,
     pim_macs_per_task: u64,
+    head_weights: impl FnOnce(usize) -> Option<LayerWeights>,
 ) -> Result<CompiledProgram, CompileError> {
-    let infos = qm.model().layers();
+    let infos = model.layers();
     let pim_layers: Vec<usize> = (0..infos.len())
         .filter(|&i| infos[i].layer.is_pim_layer())
         .collect();
@@ -174,14 +196,21 @@ pub fn compile_model(
         let (c, h, w) = infos[i].input;
         matches!(infos[i].layer, Layer::Linear { .. }) && (1..=255).contains(&(c * h * w))
     });
+    let mut head = match head_idx {
+        Some(i) => {
+            let lw = head_weights(i).ok_or(CompileError::NoWeights { layer: i })?;
+            Some((i, lower_head(model, i, &lw)?))
+        }
+        None => None,
+    };
     let built_total: u64 = pim_layers.iter().map(|&i| infos[i].macs).sum();
     let scale = pim_macs_per_task as f64 / built_total.max(1) as f64;
 
     let mut layers = Vec::with_capacity(pim_layers.len());
     let mut scheduled = 0u64;
     for &i in &pim_layers {
-        let op = if Some(i) == head_idx {
-            LayerOp::Head(lower_head(qm, i)?)
+        let op = if let Some((_, plan)) = head.take_if(|(h, _)| *h == i) {
+            LayerOp::Head(plan)
         } else {
             let macs_per_task = (infos[i].macs as f64 * scale).round() as u64;
             scheduled += macs_per_task;
@@ -203,7 +232,7 @@ pub fn compile_model(
 /// are kept host-side so the head can be re-installed after every
 /// re-placement (the runtime's data allocator re-homes the whole
 /// network, head included).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeadPlan {
     rows: Vec<Vec<u8>>,
     bias: Vec<i32>,
@@ -298,28 +327,35 @@ impl HeadPlan {
     }
 }
 
-/// Lowers linear layer `layer_idx` of `qm` into a relocatable
-/// [`HeadPlan`].
+/// Lowers linear layer `layer_idx` of `model`, with weights `lw`, into
+/// a relocatable [`HeadPlan`]: one row of INT8 weights per output
+/// neuron, plus the biases. No other layer's weights are needed.
 ///
 /// # Errors
 ///
-/// See [`CompileError`].
-pub fn lower_head(qm: &QuantizedModel, layer_idx: usize) -> Result<HeadPlan, CompileError> {
-    let info = qm
-        .model()
+/// [`CompileError::NotLinear`] if the layer is missing or not linear,
+/// [`CompileError::RowTooLong`] if it has more than 255 input features,
+/// and [`CompileError::WeightShape`] if `lw` does not hold
+/// `out_features × in_features` weights and `out_features` biases.
+pub fn lower_head(
+    model: &Model,
+    layer_idx: usize,
+    lw: &LayerWeights,
+) -> Result<HeadPlan, CompileError> {
+    let info = model
         .layers()
         .get(layer_idx)
         .ok_or(CompileError::NotLinear { layer: layer_idx })?;
     let Layer::Linear { out_features } = info.layer else {
         return Err(CompileError::NotLinear { layer: layer_idx });
     };
-    let lw = qm
-        .layer_weights(layer_idx)
-        .ok_or(CompileError::NoWeights { layer: layer_idx })?;
     let (c, h, w) = info.input;
     let in_features = c * h * w;
     if in_features > 255 {
         return Err(CompileError::RowTooLong { in_features });
+    }
+    if lw.weights.len() != out_features * in_features || lw.bias.len() != out_features {
+        return Err(CompileError::WeightShape { layer: layer_idx });
     }
     let rows = (0..out_features)
         .map(|o| {
@@ -339,7 +375,8 @@ pub fn lower_head(qm: &QuantizedModel, layer_idx: usize) -> Result<HeadPlan, Com
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hhpim_nn::Model;
+    use crate::{Architecture, CycleBackend};
+    use hhpim_nn::{QuantizedModel, TinyMlModel};
     use hhpim_pim::MachineConfig;
 
     fn fc_model(inf: usize, outf: usize) -> QuantizedModel {
@@ -367,6 +404,12 @@ mod tests {
             .collect()
     }
 
+    /// Lowers layer `layer` of `qm` with its materialized weights.
+    fn head_of(qm: &QuantizedModel, layer: usize) -> Result<HeadPlan, CompileError> {
+        let lw = qm.layer_weights(layer).expect("layer has weights");
+        lower_head(qm.model(), layer, lw)
+    }
+
     /// Lowers layer `layer` of `qm` and installs it in `home` of
     /// `modules` on a fresh default machine.
     fn installed(
@@ -375,7 +418,7 @@ mod tests {
         modules: &[usize],
         home: WeightHome,
     ) -> (HeadPlan, PimMachine) {
-        let head = lower_head(qm, layer).unwrap();
+        let head = head_of(qm, layer).unwrap();
         let mut machine = PimMachine::new(MachineConfig::default());
         head.install(&mut machine, modules, home).unwrap();
         (head, machine)
@@ -420,16 +463,41 @@ mod tests {
 
     #[test]
     fn rejects_non_linear_and_long_rows() {
-        let model = Model::new("r", (4, 1, 1), vec![Layer::Relu]).unwrap();
-        let qm = QuantizedModel::random(model, 1);
+        let fc = fc_model(4, 2);
+        let lw = fc.layer_weights(0).unwrap();
+        let relu = Model::new("r", (4, 1, 1), vec![Layer::Relu]).unwrap();
         assert!(matches!(
-            lower_head(&qm, 0),
+            lower_head(&relu, 0, lw),
             Err(CompileError::NotLinear { layer: 0 })
         ));
         assert!(matches!(
-            lower_head(&fc_model(300, 2), 0),
+            lower_head(fc.model(), 1, lw),
+            Err(CompileError::NotLinear { layer: 1 })
+        ));
+        assert!(matches!(
+            head_of(&fc_model(300, 2), 0),
             Err(CompileError::RowTooLong { in_features: 300 })
         ));
+    }
+
+    #[test]
+    fn rejects_weights_of_another_shape() {
+        let fc = fc_model(4, 2);
+        let lw = fc.layer_weights(0).unwrap();
+        let short = LayerWeights {
+            weights: lw.weights[1..].to_vec(),
+            ..lw.clone()
+        };
+        let no_bias = LayerWeights {
+            bias: Vec::new(),
+            ..lw.clone()
+        };
+        for bad in [short, no_bias] {
+            assert!(matches!(
+                lower_head(fc.model(), 0, &bad),
+                Err(CompileError::WeightShape { layer: 0 })
+            ));
+        }
     }
 
     #[test]
@@ -437,7 +505,8 @@ mod tests {
         let model = hhpim_nn::TinyMlModel::MobileNetV2;
         let qm = QuantizedModel::random(model.build(), 3);
         let pim_macs = model.spec().pim_macs();
-        let program = compile_model(&qm, pim_macs).unwrap();
+        let program =
+            compile_model(qm.model(), pim_macs, |i| qm.layer_weights(i).cloned()).unwrap();
         assert!(program.head().is_some(), "MobileNet has a narrow head");
         let head_macs = {
             let h = program.head().unwrap();
@@ -506,11 +575,39 @@ mod tests {
     #[test]
     fn compile_model_rejects_host_only_stacks() {
         let model = Model::new("r", (4, 1, 1), vec![Layer::Relu]).unwrap();
-        let qm = QuantizedModel::random(model, 1);
         assert!(matches!(
-            compile_model(&qm, 1000),
+            compile_model(&model, 1000, |_| None),
             Err(CompileError::NotLinear { layer: 0 })
         ));
+    }
+
+    #[test]
+    fn compile_model_needs_the_heads_weights() {
+        let qm = fc_model(8, 2);
+        assert!(matches!(
+            compile_model(qm.model(), 1000, |_| None),
+            Err(CompileError::NoWeights { layer: 0 })
+        ));
+        let program = compile_model(qm.model(), 1000, |i| qm.layer_weights(i).cloned()).unwrap();
+        assert_eq!(program.head(), Some(&head_of(&qm, 0).unwrap()));
+    }
+
+    #[test]
+    fn cycle_backend_head_equals_the_whole_random_models_head() {
+        // The backend draws only the head's weights; they must be the
+        // bytes the whole network drawn at the same seed gives it.
+        for model in TinyMlModel::ALL {
+            let backend = CycleBackend::new(Architecture::HhPim, model).unwrap();
+            let program = backend.program();
+            let idx = program
+                .layers()
+                .iter()
+                .find(|l| matches!(l.op, LayerOp::Head(_)))
+                .map(|l| l.layer)
+                .expect("every zoo model has a narrow head");
+            let qm = QuantizedModel::random(model.build(), 0xDAC);
+            assert_eq!(program.head(), Some(&head_of(&qm, idx).unwrap()), "{model}");
+        }
     }
 
     #[test]
@@ -522,5 +619,8 @@ mod tests {
         assert!(CompileError::NotLinear { layer: 2 }
             .to_string()
             .contains("layer 2"));
+        assert!(CompileError::WeightShape { layer: 3 }
+            .to_string()
+            .contains("layer 3"));
     }
 }

@@ -8,7 +8,7 @@
 //! §IV-A of the paper.
 
 use crate::layer::Layer;
-use crate::model::Model;
+use crate::model::{LayerInfo, Model};
 use crate::tensor::Tensor;
 use core::fmt;
 
@@ -23,7 +23,40 @@ pub struct LayerWeights {
     pub shift: u32,
 }
 
+impl LayerWeights {
+    /// The weights [`QuantizedModel::random`]`(model, seed)` gives layer
+    /// `layer`, drawn without drawing any other layer: the generator
+    /// jumps over the draws of the layers before it in O(log n) and then
+    /// draws this layer's own. A caller that executes one layer
+    /// bit-exactly needs only that layer's bytes.
+    ///
+    /// Returns `None` if `layer` is out of range or has no parameters.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hhpim_nn::{zoo, LayerWeights, QuantizedModel};
+    /// let model = zoo::mobilenet_v2_tiny();
+    /// let head = model.layers().len() - 1;
+    /// let drawn = LayerWeights::random(&model, head, 42);
+    /// let whole = QuantizedModel::random(model, 42);
+    /// assert_eq!(drawn.as_ref(), whole.layer_weights(head));
+    /// ```
+    pub fn random(model: &Model, layer: usize, seed: u64) -> Option<LayerWeights> {
+        let info = model.layers().get(layer).filter(|i| i.params > 0)?;
+        let skipped: usize = model.layers()[..layer].iter().map(|i| i.params).sum();
+        let mut rng = XorShift::new(seed);
+        rng.jump(skipped as u64);
+        draw_layer(info, &mut rng)
+    }
+}
+
 /// A model with materialized weights, executable on CPU.
+///
+/// [`QuantizedModel::random`] draws every layer's weights. A caller
+/// that needs only some layers' values (the cycle backend executes just
+/// the classifier head bit-exactly) draws each of them with
+/// [`LayerWeights::random`], which yields the same bytes.
 ///
 /// # Examples
 ///
@@ -46,24 +79,111 @@ pub struct QuantizedModel {
 #[derive(Debug, Clone)]
 struct XorShift(u64);
 
+/// The generator's state update. It is linear over GF(2): each output
+/// bit is the XOR of some input bits.
+const fn xorshift_step(mut x: u64) -> u64 {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
+}
+
+/// A 64×64 matrix over GF(2), stored by column: entry `i` is the image
+/// of the state with only bit `i` set.
+type BitMatrix = [u64; 64];
+
+/// `m · v` over GF(2): the XOR of the columns selected by `v`'s bits.
+const fn mat_vec(m: &BitMatrix, v: u64) -> u64 {
+    let mut out = 0;
+    let mut i = 0;
+    while i < 64 {
+        if (v >> i) & 1 == 1 {
+            out ^= m[i];
+        }
+        i += 1;
+    }
+    out
+}
+
+/// `STEP_POWERS[k]` is the matrix of `2^k` generator steps, built at
+/// compile time by repeated squaring of the one-step matrix (32 KiB of
+/// read-only data).
+static STEP_POWERS: [BitMatrix; 64] = {
+    let mut powers = [[0u64; 64]; 64];
+    let mut i = 0;
+    while i < 64 {
+        powers[0][i] = xorshift_step(1 << i);
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 64 {
+        let mut i = 0;
+        while i < 64 {
+            powers[k][i] = mat_vec(&powers[k - 1], powers[k - 1][i]);
+            i += 1;
+        }
+        k += 1;
+    }
+    powers
+};
+
 impl XorShift {
     fn new(seed: u64) -> Self {
         XorShift(seed.max(1))
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.0 = xorshift_step(self.0);
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// Advances the state by `n` steps, as `n` calls of
+    /// [`XorShift::next`] would, with one matrix-vector product per set
+    /// bit of `n`: `n` steps are the product of the [`STEP_POWERS`] its
+    /// bits select.
+    fn jump(&mut self, n: u64) {
+        for (k, power) in STEP_POWERS.iter().enumerate() {
+            if n >> k & 1 == 1 {
+                self.0 = mat_vec(power, self.0);
+            }
+        }
     }
 
     fn next_i8(&mut self, span: i8) -> i8 {
         let span = span.max(1) as i64;
         ((self.next() % (2 * span as u64 + 1)) as i64 - span) as i8
     }
+}
+
+/// Draws `info`'s weights, then its biases, from `rng`; `None` for a
+/// layer without parameters. It takes exactly `info.params` draws, which
+/// is what lets [`LayerWeights::random`] jump over earlier layers.
+fn draw_layer(info: &LayerInfo, rng: &mut XorShift) -> Option<LayerWeights> {
+    if info.params == 0 {
+        return None;
+    }
+    let (out_ch, n_weights) = match info.layer {
+        Layer::Conv2d {
+            out_channels,
+            kernel,
+            groups,
+            ..
+        } => {
+            let icg = info.input.0 / groups.max(1);
+            (out_channels, out_channels * icg * kernel * kernel)
+        }
+        Layer::Linear { out_features } => {
+            let (c, h, w) = info.input;
+            (out_features, out_features * c * h * w)
+        }
+        _ => unreachable!("only conv/linear layers have params"),
+    };
+    debug_assert_eq!(n_weights + out_ch, info.params, "one draw per parameter");
+    Some(LayerWeights {
+        weights: (0..n_weights).map(|_| rng.next_i8(32)).collect(),
+        bias: (0..out_ch).map(|_| rng.next_i8(64) as i32).collect(),
+        shift: 7,
+    })
 }
 
 fn saturate(acc: i32, shift: u32) -> i8 {
@@ -75,38 +195,16 @@ impl QuantizedModel {
     ///
     /// Weights are drawn from `[-32, 32]`, biases from `[-64, 64]`, and
     /// every layer uses requantization shift 7 — values that keep
-    /// activations well-distributed through deep stacks.
+    /// activations well-distributed through deep stacks. One xorshift64*
+    /// stream seeded by `seed` fills the layers in order, each layer's
+    /// weights before its biases. [`LayerWeights::random`] draws a single
+    /// layer from the same stream without materializing the rest.
     pub fn random(model: Model, seed: u64) -> Self {
         let mut rng = XorShift::new(seed);
         let weights = model
             .layers()
             .iter()
-            .map(|info| {
-                if info.params == 0 {
-                    return None;
-                }
-                let (out_ch, n_weights) = match info.layer {
-                    Layer::Conv2d {
-                        out_channels,
-                        kernel,
-                        groups,
-                        ..
-                    } => {
-                        let icg = info.input.0 / groups.max(1);
-                        (out_channels, out_channels * icg * kernel * kernel)
-                    }
-                    Layer::Linear { out_features } => {
-                        let (c, h, w) = info.input;
-                        (out_features, out_features * c * h * w)
-                    }
-                    _ => unreachable!("only conv/linear layers have params"),
-                };
-                Some(LayerWeights {
-                    weights: (0..n_weights).map(|_| rng.next_i8(32)).collect(),
-                    bias: (0..out_ch).map(|_| rng.next_i8(64) as i32).collect(),
-                    shift: 7,
-                })
-            })
+            .map(|info| draw_layer(info, &mut rng))
             .collect();
         QuantizedModel { model, weights }
     }
@@ -327,6 +425,85 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// FNV-1a over every layer's weights, biases and shift, in layer
+    /// order, with a marker byte for layers without parameters.
+    fn weights_digest(qm: &QuantizedModel) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for lw in &qm.weights {
+            match lw {
+                None => eat(&[0]),
+                Some(lw) => {
+                    eat(&[1]);
+                    for &w in &lw.weights {
+                        eat(&[w as u8]);
+                    }
+                    for b in &lw.bias {
+                        eat(&b.to_le_bytes());
+                    }
+                    eat(&lw.shift.to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn jump_equals_single_steps() {
+        for seed in [1, 0xDAC, u64::MAX] {
+            for n in [0u64, 1, 2, 63, 64, 65, 1_000, (1 << 18) + 7] {
+                let mut jumped = XorShift::new(seed);
+                jumped.jump(n);
+                let mut stepped = XorShift::new(seed);
+                for _ in 0..n {
+                    stepped.next();
+                }
+                assert_eq!(jumped.0, stepped.0, "seed {seed:#x}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_layer_draw_equals_whole_model_draw() {
+        for m in crate::zoo::TinyMlModel::ALL {
+            for seed in [0xDAC, 5] {
+                let qm = QuantizedModel::random(m.build(), seed);
+                let layers = qm.model().layers().len();
+                for i in 0..=layers {
+                    assert_eq!(
+                        LayerWeights::random(qm.model(), i, seed).as_ref(),
+                        qm.layer_weights(i),
+                        "{m}, seed {seed:#x}, layer {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_weights_are_pinned() {
+        // A change to the draw order, the value ranges or the generator
+        // moves these, and with them every test, example and gate entry
+        // that infers with random weights.
+        let pinned = [
+            (
+                crate::zoo::TinyMlModel::EfficientNetB0,
+                0x27ff_6805_3547_4ab5,
+            ),
+            (crate::zoo::TinyMlModel::MobileNetV2, 0xe672_1090_6624_7bfc),
+            (crate::zoo::TinyMlModel::ResNet18, 0xd587_ecc3_89cf_0865),
+        ];
+        for (m, digest) in pinned {
+            let qm = QuantizedModel::random(m.build(), 0xDAC);
+            assert_eq!(weights_digest(&qm), digest, "{m}");
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   [`zoo::ModelSpec`] carrying the published numbers,
 //! * [`QuantParams`] — symmetric INT8 quantization,
 //! * [`QuantizedModel`] — a bit-exact integer-only executor used as the
-//!   reference for PIM functional verification,
+//!   reference for PIM functional verification, over pseudo-random
+//!   weights; [`LayerWeights::random`] draws one layer of the same
+//!   weights on its own,
 //! * [`Tensor`] — minimal CHW tensors.
 //!
 //! # Examples
