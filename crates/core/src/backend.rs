@@ -59,7 +59,7 @@ use crate::runtime::{Processor, RuntimeConfig};
 use crate::space::{movement_legs, MovementLeg, Placement, StorageSpace};
 use crate::timegraph::TimeGraph;
 use hhpim_isa::{MemSelect, ModuleMask, PimInstruction};
-use hhpim_mem::{ClusterClass, Energy, EnergyLedger, MemKind};
+use hhpim_mem::{AccessKind, ClusterClass, Energy, EnergyLedger, MemKind};
 use hhpim_nn::{LayerWeights, TinyMlModel};
 use hhpim_pim::{MachineConfig, MachineError, ModuleConfig, PimMachine};
 use hhpim_sim::{SimDuration, SimTime};
@@ -482,9 +482,10 @@ impl ExecutionBackend for AnalyticBackend {
 /// head as bit-exact INT8 MAC bursts. On architectures with the
 /// paper's dynamic placement policy the backend replays the runtime's
 /// re-placement step at every queue-length change — it consults the
-/// same [`crate::AllocationLut`] the analytic runtime built, issues the
-/// actual weight-migration traffic between HP/LP modules and MRAM/SRAM
-/// banks on the machine, and reports that traffic under
+/// same [`crate::AllocationLut`] the analytic runtime built, meters the
+/// weight-migration traffic between HP/LP modules and MRAM/SRAM banks
+/// as timed bank accesses on the machine (no migrated byte is ever
+/// read, so none is copied), and reports that traffic under
 /// [`EnergyCat::Movement`] with one [`MigrationRecord`] per event.
 ///
 /// Bank gating mirrors the architecture's [`GatingPolicy`]: under
@@ -513,9 +514,6 @@ pub struct CycleBackend {
     run: Option<CycleRun>,
     mode: ExecMode,
     graph: TimeGraph,
-    /// Staging buffer for cross-module migration chunks, reused across
-    /// migrations.
-    transfer_buf: Vec<u8>,
 }
 
 /// How [`CycleBackend`] executes the per-task instruction stream.
@@ -632,7 +630,6 @@ impl CycleBackend {
             run: None,
             mode: ExecMode::default(),
             graph: TimeGraph::new(),
-            transfer_buf: Vec::new(),
         };
         backend.refresh_head()?;
         backend.enter_idle()?;
@@ -921,12 +918,15 @@ impl CycleBackend {
         Ok((record, legs))
     }
 
-    /// Moves `bytes` of one migration leg: lanes pair source and
+    /// Meters `bytes` of one migration leg: lanes pair source and
     /// destination modules (one group stream per module pair, exactly
-    /// the parallelism the analytic movement model assumes); same-module
-    /// legs use the module interface's MRAM↔SRAM path, cross-cluster
-    /// legs read on one side and write on the other through the Data
-    /// Allocator's MEM interface.
+    /// the parallelism the analytic movement model assumes), and each
+    /// chunk is a read burst on the source bank followed by a write
+    /// burst on the destination bank — the module interface's
+    /// MRAM↔SRAM path within a module, the Data Allocator's MEM
+    /// interface across clusters. No byte moves: the head is
+    /// re-installed right after ([`Self::refresh_head`]) and no other
+    /// migrated byte is ever read.
     fn transfer_leg(&mut self, leg: MovementLeg, bytes: usize) -> Result<(), BackendError> {
         let src_mods = self.cluster_modules(leg.src.cluster());
         let dst_mods = self.cluster_modules(leg.dst.cluster());
@@ -949,31 +949,20 @@ impl CycleBackend {
         let base = bytes / lanes;
         let rem = bytes % lanes;
         let at = self.machine.now();
-        if self.transfer_buf.len() < chunk_max {
-            self.transfer_buf.resize(chunk_max, 0);
-        }
         for (i, src_g) in src_mods.enumerate() {
             let dst_g = dst_mods.start + i % dst_mods.len();
             let mut remaining = base + usize::from(i < rem);
             while remaining > 0 {
                 let chunk = remaining.min(chunk_max);
-                if src_g == dst_g {
-                    self.machine
-                        .module_mut(src_g)
-                        .move_intra(at, src_mem, 0, chunk)
-                        .map_err(|e| Self::module_err(src_g, e))?;
-                } else {
-                    let data = &mut self.transfer_buf[..chunk];
-                    let done = self
-                        .machine
-                        .module_mut(src_g)
-                        .read_words_into(at, src_mem, 0, data)
-                        .map_err(|e| Self::module_err(src_g, e))?;
-                    self.machine
-                        .module_mut(dst_g)
-                        .write_words(done, dst_mem, 0, data)
-                        .map_err(|e| Self::module_err(dst_g, e))?;
-                }
+                let read_done = self
+                    .machine
+                    .module_mut(src_g)
+                    .access(at, src_mem, AccessKind::Read, 0, chunk)
+                    .map_err(|e| Self::module_err(src_g, e))?;
+                self.machine
+                    .module_mut(dst_g)
+                    .access(read_done, dst_mem, AccessKind::Write, 0, chunk)
+                    .map_err(|e| Self::module_err(dst_g, e))?;
                 remaining -= chunk;
             }
         }

@@ -192,22 +192,27 @@ pub struct MovementLeg {
 
 /// Plans the weight movement needed to transition `from` into `to`:
 /// outflows and inflows are paired greedily in space order. Returns an
-/// empty plan when the placements are equal.
+/// empty plan when the placements are equal; otherwise the returned
+/// plan is the only allocation.
 pub fn movement_legs(from: &Placement, to: &Placement) -> Vec<MovementLeg> {
     if from == to {
         return Vec::new();
     }
-    let mut out: Vec<(StorageSpace, usize)> = Vec::new();
-    let mut inn: Vec<(StorageSpace, usize)> = Vec::new();
+    let mut out = [(StorageSpace::HpMram, 0usize); 4];
+    let mut inn = [(StorageSpace::HpMram, 0usize); 4];
+    let (mut n_out, mut n_in) = (0usize, 0usize);
     for s in StorageSpace::ALL {
         let (f, t) = (from.get(s), to.get(s));
         if f > t {
-            out.push((s, f - t));
+            out[n_out] = (s, f - t);
+            n_out += 1;
         } else if t > f {
-            inn.push((s, t - f));
+            inn[n_in] = (s, t - f);
+            n_in += 1;
         }
     }
-    let mut legs = Vec::new();
+    let (out, inn) = (&out[..n_out], &inn[..n_in]);
+    let mut legs = Vec::with_capacity((n_out + n_in).saturating_sub(1));
     let (mut oi, mut ii) = (0usize, 0usize);
     let (mut orem, mut irem) = (
         out.first().map(|x| x.1).unwrap_or(0),

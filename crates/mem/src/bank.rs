@@ -143,6 +143,9 @@ pub struct ResolvedAccess {
 pub struct MemoryBank {
     tech: MemoryTech,
     capacity: usize,
+    /// Leakage while on: `tech.static_power_for(capacity)`, fixed at
+    /// construction.
+    static_power: Power,
     live_bytes: usize,
     port: BusyResource,
     state: GateState,
@@ -167,6 +170,7 @@ impl MemoryBank {
         MemoryBank {
             tech,
             capacity,
+            static_power: tech.static_power_for(capacity),
             live_bytes: 0,
             port: BusyResource::new(),
             state: GateState::On,
@@ -215,7 +219,7 @@ impl MemoryBank {
     /// Leakage power at the current state (zero when gated).
     pub fn static_power(&self) -> Power {
         match self.state {
-            GateState::On => self.tech.static_power_for(self.capacity),
+            GateState::On => self.static_power,
             GateState::Gated => Power::ZERO,
         }
     }
@@ -255,7 +259,7 @@ impl MemoryBank {
         }
         if self.state == GateState::On {
             let dt = now.saturating_since(self.last_accrual);
-            self.static_energy += self.tech.static_power_for(self.capacity) * dt;
+            self.static_energy += self.static_power * dt;
         }
         self.last_accrual = now;
     }

@@ -73,6 +73,8 @@ pub struct Cluster {
     modules: Vec<PimModule>,
     issue: BusyResource,
     cfg: ControllerConfig,
+    /// `cfg.clock.period()`, fixed at construction.
+    period: SimDuration,
     ctrl_dynamic: Energy,
     ctrl_static: Energy,
     last_accrual: SimTime,
@@ -97,6 +99,7 @@ impl Cluster {
             modules: (0..n).map(|_| PimModule::new(class, module_cfg)).collect(),
             issue: BusyResource::new(),
             cfg,
+            period: cfg.clock.period(),
             ctrl_dynamic: Energy::ZERO,
             ctrl_static: Energy::ZERO,
             last_accrual: SimTime::ZERO,
@@ -190,7 +193,7 @@ impl Cluster {
     pub fn issue(&mut self, at: SimTime, selected: usize) -> SimTime {
         let cycles =
             self.cfg.fetch_decode_cycles + self.cfg.dispatch_cycles_per_module * selected as u64;
-        let dur = self.cfg.clock.cycles_to_duration(cycles);
+        let dur = self.period * cycles;
         self.ctrl_dynamic += self.cfg.dynamic_per_inst;
         self.instructions_issued += 1;
         self.issue.acquire(at, dur)
@@ -199,7 +202,7 @@ impl Cluster {
     /// MEM-interface transfer time for `bytes` on one module lane.
     pub fn mem_if_latency(&self, bytes: usize) -> SimDuration {
         let cycles = (bytes as u64).div_ceil(self.cfg.mem_if_bytes_per_cycle);
-        self.cfg.clock.cycles_to_duration(cycles)
+        self.period * cycles
     }
 
     /// Runs `op` on every module selected by the local `mask` bits,

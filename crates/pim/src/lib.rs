@@ -13,10 +13,12 @@
 //! * [`PimMachine`] — the full machine: instruction queue, one or two
 //!   clusters, inter-cluster transfers and an energy/latency report.
 //!
-//! Because banks hold real bytes, entire quantized networks can be run
+//! Banks hold real bytes, so entire quantized networks can be run
 //! through the machine and checked against a software reference — the
 //! same functional verification the paper performs on its FPGA
-//! prototype.
+//! prototype. Their pages materialize on first write
+//! ([`PAGE_BYTES`]), so a machine pays host memory only for the bytes
+//! it has written.
 //!
 //! # Examples
 //!
@@ -43,5 +45,5 @@ pub mod pe;
 
 pub use cluster::{Cluster, ControllerConfig, TransferChunk};
 pub use machine::{EnergyCat, MachineConfig, MachineError, PimMachine, RunReport};
-pub use module::{ModuleConfig, ModuleError, PimModule};
+pub use module::{ModuleConfig, ModuleError, PimModule, PAGE_BYTES};
 pub use pe::ProcessingElement;

@@ -775,6 +775,21 @@ mod tests {
     }
 
     #[test]
+    fn preload_near_usize_max_is_a_range_error() {
+        let mut m = machine();
+        assert_eq!(
+            m.preload(0, MemSelect::Mram, usize::MAX - 1, &[1, 2, 3]),
+            Err(MachineError::Module {
+                module: 0,
+                error: ModuleError::AddrOutOfRange {
+                    addr: usize::MAX,
+                    capacity: 64 * 1024,
+                },
+            })
+        );
+    }
+
+    #[test]
     fn mask_routes_across_clusters() {
         let mut m = machine();
         for g in [0usize, 5] {

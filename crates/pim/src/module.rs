@@ -8,9 +8,13 @@
 //! operand streams (weights from the selected bank, activations from
 //! SRAM) have arrived.
 //!
-//! The module is bit-accurate: banks have real byte contents, so whole
-//! quantized networks can be executed and checked against a software
-//! reference (the FPGA functional-verification step of §IV-A).
+//! The module is bit-accurate, so whole quantized networks can be
+//! executed and checked against a software reference (the FPGA
+//! functional-verification step of §IV-A). A bank's contents are a
+//! fixed table of [`PAGE_BYTES`] pages that materialize on first write;
+//! a byte never written reads as zero. A module that only ever holds a
+//! ~1 kB classifier head and its activations keeps a few pages, not its
+//! banks' full capacity.
 
 use crate::pe::ProcessingElement;
 use hhpim_isa::MemSelect;
@@ -81,14 +85,107 @@ impl Default for ModuleConfig {
     }
 }
 
+/// Bytes per page of a bank's contents (see module-level docs).
+pub const PAGE_BYTES: usize = 4 * 1024;
+
+/// What a page that was never written reads as.
+static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
+
+/// One bank's byte contents: a fixed table of [`PAGE_BYTES`] pages,
+/// each allocated on its first write.
+#[derive(Debug, Clone)]
+struct Pages {
+    capacity: usize,
+    table: Box<[Option<Box<[u8; PAGE_BYTES]>>]>,
+}
+
+impl Pages {
+    fn new(capacity: usize) -> Self {
+        Pages {
+            capacity,
+            table: (0..capacity.div_ceil(PAGE_BYTES)).map(|_| None).collect(),
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.table.iter().flatten().count() * PAGE_BYTES
+    }
+
+    /// The bytes from `addr` to the end of its page, at most `len`.
+    fn run(&self, addr: usize, len: usize) -> &[u8] {
+        let off = addr % PAGE_BYTES;
+        let page = self.table[addr / PAGE_BYTES]
+            .as_deref()
+            .unwrap_or(&ZERO_PAGE);
+        &page[off..off + len.min(PAGE_BYTES - off)]
+    }
+
+    /// [`Pages::run`] for writing: materializes the page.
+    fn run_mut(&mut self, addr: usize, len: usize) -> &mut [u8] {
+        let off = addr % PAGE_BYTES;
+        let page = self.table[addr / PAGE_BYTES].get_or_insert_with(|| Box::new([0; PAGE_BYTES]));
+        &mut page[off..off + len.min(PAGE_BYTES - off)]
+    }
+
+    fn read(&self, addr: usize, out: &mut [u8]) {
+        let mut done = 0;
+        while done < out.len() {
+            let run = self.run(addr + done, out.len() - done);
+            out[done..done + run.len()].copy_from_slice(run);
+            done += run.len();
+        }
+    }
+
+    fn write(&mut self, addr: usize, bytes: &[u8]) {
+        let mut done = 0;
+        while done < bytes.len() {
+            let run = self.run_mut(addr + done, bytes.len() - done);
+            let n = run.len();
+            run.copy_from_slice(&bytes[done..done + n]);
+            done += n;
+        }
+    }
+
+    /// Copies `src`'s `addr..addr + count` to the same addresses here.
+    fn copy_from(&mut self, src: &Pages, addr: usize, count: usize) {
+        let mut done = 0;
+        while done < count {
+            let run = src.run(addr + done, count - done);
+            self.write(addr + done, run);
+            done += run.len();
+        }
+    }
+}
+
+/// Calls `f` on each (weight, activation) operand pair of a `count`-MAC
+/// burst, walking both ranges in place, one page run at a time.
+fn for_each_pair(
+    weights: &Pages,
+    w_addr: usize,
+    acts: &Pages,
+    a_addr: usize,
+    count: usize,
+    mut f: impl FnMut(i8, i8),
+) {
+    let mut done = 0;
+    while done < count {
+        let w_run = weights.run(w_addr + done, count - done);
+        let a_run = acts.run(a_addr + done, w_run.len());
+        for (&w, &a) in w_run.iter().zip(a_run) {
+            f(w as i8, a as i8);
+        }
+        done += a_run.len();
+    }
+}
+
 /// A single PIM module (see module-level docs).
 #[derive(Debug, Clone)]
 pub struct PimModule {
     class: ClusterClass,
     mram: Option<MemoryBank>,
-    mram_data: Vec<u8>,
+    mram_data: Pages,
     sram: MemoryBank,
-    sram_data: Vec<u8>,
+    sram_data: Pages,
     pe: ProcessingElement,
     act_ptr: usize,
     act_base: usize,
@@ -113,9 +210,9 @@ impl PimModule {
         PimModule {
             class,
             mram,
-            mram_data: vec![0; config.mram_bytes],
+            mram_data: Pages::new(config.mram_bytes),
             sram: MemoryBank::new(tech_for(class, MemKind::Sram), config.sram_bytes),
-            sram_data: vec![0; config.sram_bytes],
+            sram_data: Pages::new(config.sram_bytes),
             pe: ProcessingElement::new(pe_for(class)),
             act_ptr: config.act_base,
             act_base: config.act_base,
@@ -160,6 +257,12 @@ impl PimModule {
         }
     }
 
+    /// Host memory held by the banks' contents: [`PAGE_BYTES`] for
+    /// every page written so far.
+    pub fn resident_bytes(&self) -> usize {
+        self.mram_data.resident_bytes() + self.sram_data.resident_bytes()
+    }
+
     /// Instant at which the module completes all issued work.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -184,28 +287,28 @@ impl PimModule {
         mram + self.sram.total_energy() + self.pe.dynamic_energy() + self.pe.static_energy()
     }
 
+    /// Checks `addr..addr + len` against `mem`; the error reports the
+    /// range's end, saturated at `usize::MAX`.
     fn check_range(&self, mem: MemSelect, addr: usize, len: usize) -> Result<(), ModuleError> {
-        let capacity = match mem {
-            MemSelect::Mram => self.mram_data.len(),
-            MemSelect::Sram => self.sram_data.len(),
-        };
-        if addr + len > capacity {
+        let capacity = self.data(mem).capacity;
+        let end = addr.saturating_add(len);
+        if end > capacity {
             return Err(ModuleError::AddrOutOfRange {
-                addr: addr + len,
+                addr: end,
                 capacity,
             });
         }
         Ok(())
     }
 
-    fn data(&self, mem: MemSelect) -> &[u8] {
+    fn data(&self, mem: MemSelect) -> &Pages {
         match mem {
             MemSelect::Mram => &self.mram_data,
             MemSelect::Sram => &self.sram_data,
         }
     }
 
-    fn data_mut(&mut self, mem: MemSelect) -> &mut Vec<u8> {
+    fn data_mut(&mut self, mem: MemSelect) -> &mut Pages {
         match mem {
             MemSelect::Mram => &mut self.mram_data,
             MemSelect::Sram => &mut self.sram_data,
@@ -226,7 +329,7 @@ impl PimModule {
     ) -> Result<(), ModuleError> {
         self.check_range(mem, addr, bytes.len())?;
         let occupy = bytes.len();
-        self.data_mut(mem)[addr..addr + occupy].copy_from_slice(bytes);
+        self.data_mut(mem).write(addr, bytes);
         let bank = self.bank_mut(mem)?;
         // Occupancy tracking saturates at capacity: preloads may overwrite.
         let free = bank.free_bytes();
@@ -234,14 +337,22 @@ impl PimModule {
         Ok(())
     }
 
-    /// Host-side readback of bytes (no timing/energy).
+    /// Host-side readback of bytes (no timing/energy), as an owned
+    /// copy.
     ///
     /// # Errors
     ///
     /// Returns [`ModuleError::AddrOutOfRange`] on overflow.
-    pub fn read_back(&self, mem: MemSelect, addr: usize, len: usize) -> Result<&[u8], ModuleError> {
+    pub fn read_back(
+        &self,
+        mem: MemSelect,
+        addr: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, ModuleError> {
         self.check_range(mem, addr, len)?;
-        Ok(&self.data(mem)[addr..addr + len])
+        let mut bytes = vec![0; len];
+        self.data(mem).read(addr, &mut bytes);
+        Ok(bytes)
     }
 
     /// Clears the PE accumulator and rewinds the activation pointer to
@@ -269,7 +380,7 @@ impl PimModule {
     ) -> Result<SimTime, ModuleError> {
         let at = at.max(self.free_at);
         self.check_range(mem, addr, count)?;
-        if self.act_ptr + count > self.sram_data.len() {
+        if self.act_ptr + count > self.sram_data.capacity {
             return Err(ModuleError::ActivationOverrun);
         }
         // Weight burst from the selected bank.
@@ -284,13 +395,15 @@ impl PimModule {
             .access(at, AccessKind::Read, count as u64)?
             .done_at;
         let operands_ready = w_done.max(a_done);
-        let pairs: Vec<(i8, i8)> = (0..count)
-            .map(|i| {
-                let w = self.data(mem)[addr + i] as i8;
-                let a = self.sram_data[self.act_ptr + i] as i8;
-                (w, a)
-            })
-            .collect();
+        let mut pairs = Vec::with_capacity(count);
+        for_each_pair(
+            self.data(mem),
+            addr,
+            &self.sram_data,
+            self.act_ptr,
+            count,
+            |w, a| pairs.push((w, a)),
+        );
         let done = self.pe.mac_burst(operands_ready, &pairs);
         self.act_ptr += count;
         self.free_at = done;
@@ -335,8 +448,8 @@ impl PimModule {
     }
 
     /// [`Self::mac`] with pre-resolved bank coefficients and no operand
-    /// `Vec`: the weight/activation products are folded inline out of
-    /// bank storage and applied through
+    /// `Vec`: the weight/activation products are folded in place over
+    /// the banks' page runs (no copy, no allocation) and applied through
     /// [`ProcessingElement::mac_burst_prefolded`], which lands on the
     /// identical accumulator, timing, energy and counters (wrapping i32
     /// addition is associative). `weights` must be resolved from the
@@ -357,7 +470,7 @@ impl PimModule {
     ) -> Result<SimTime, ModuleError> {
         let at = at.max(self.free_at);
         self.check_range(mem, addr, count)?;
-        if self.act_ptr + count > self.sram_data.len() {
+        if self.act_ptr + count > self.sram_data.capacity {
             return Err(ModuleError::ActivationOverrun);
         }
         let w_done = self
@@ -366,15 +479,15 @@ impl PimModule {
             .done_at;
         let a_done = self.sram.access_resolved(at, acts, count as u64)?.done_at;
         let operands_ready = w_done.max(a_done);
-        let delta = {
-            let w = &self.data(mem)[addr..addr + count];
-            let a = &self.sram_data[self.act_ptr..self.act_ptr + count];
-            let mut d = 0i32;
-            for i in 0..count {
-                d = d.wrapping_add((w[i] as i8 as i32) * (a[i] as i8 as i32));
-            }
-            d
-        };
+        let mut delta = 0i32;
+        for_each_pair(
+            self.data(mem),
+            addr,
+            &self.sram_data,
+            self.act_ptr,
+            count,
+            |w, a| delta = delta.wrapping_add(w as i32 * a as i32),
+        );
         let done = self
             .pe
             .mac_burst_prefolded(operands_ready, delta, count as u64);
@@ -431,14 +544,47 @@ impl PimModule {
             .bank_mut(mem)?
             .access(at, AccessKind::Write, 4)?
             .done_at;
-        self.data_mut(mem)[addr..addr + 4].copy_from_slice(&value);
+        self.data_mut(mem).write(addr, &value);
+        self.free_at = done;
+        Ok(done)
+    }
+
+    /// The timed bank access every byte-moving operation is built on:
+    /// checks `addr..addr + count` against `mem`, serializes `count`
+    /// words of `kind` on the bank's port from `at` (or once the module
+    /// finishes earlier work), records written bytes as occupancy
+    /// (saturating at capacity: writes may overwrite) and returns the
+    /// completion instant. It moves no bytes, so traffic whose contents
+    /// are never read (a placement transition's migration legs) is
+    /// metered through it alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bank and range errors.
+    pub fn access(
+        &mut self,
+        at: SimTime,
+        mem: MemSelect,
+        kind: AccessKind,
+        addr: usize,
+        count: usize,
+    ) -> Result<SimTime, ModuleError> {
+        let at = at.max(self.free_at);
+        self.check_range(mem, addr, count)?;
+        let bank = self.bank_mut(mem)?;
+        let done = bank.access(at, kind, count as u64)?.done_at;
+        if kind == AccessKind::Write {
+            let free = bank.free_bytes();
+            let _ = bank.store(count.min(free));
+        }
         self.free_at = done;
         Ok(done)
     }
 
     /// Copies `count` bytes from `from` at `addr` to the opposite bank at
     /// the same address (read burst then write burst, serialized as the
-    /// module interface does); returns the completion instant.
+    /// module interface does); returns the completion instant. The
+    /// copy stays live in both banks until explicitly freed.
     ///
     /// # Errors
     ///
@@ -450,32 +596,26 @@ impl PimModule {
         addr: usize,
         count: usize,
     ) -> Result<SimTime, ModuleError> {
-        let at = at.max(self.free_at);
         let to = match from {
             MemSelect::Mram => MemSelect::Sram,
             MemSelect::Sram => MemSelect::Mram,
         };
+        // Both ranges, before any traffic.
         self.check_range(from, addr, count)?;
         self.check_range(to, addr, count)?;
-        let read_done = self
-            .bank_mut(from)?
-            .access(at, AccessKind::Read, count as u64)?
-            .done_at;
-        let write_done = self
-            .bank_mut(to)?
-            .access(read_done, AccessKind::Write, count as u64)?
-            .done_at;
+        // A rejected write burst (a gated destination) leaves the
+        // completion instant where it was; the read stays charged.
+        let free_at = self.free_at;
+        let read_done = self.access(at, from, AccessKind::Read, addr, count)?;
+        let done = self
+            .access(read_done, to, AccessKind::Write, addr, count)
+            .inspect_err(|_| self.free_at = free_at)?;
         let (src, dst) = match from {
             MemSelect::Mram => (&self.mram_data, &mut self.sram_data),
             MemSelect::Sram => (&self.sram_data, &mut self.mram_data),
         };
-        dst[addr..addr + count].copy_from_slice(&src[addr..addr + count]);
-        // Occupancy: data now live in both banks until explicitly freed.
-        let to_bank = self.bank_mut(to)?;
-        let free = to_bank.free_bytes();
-        let _ = to_bank.store(count.min(free));
-        self.free_at = write_done;
-        Ok(write_done)
+        dst.copy_from(src, addr, count);
+        Ok(done)
     }
 
     /// Timed read of `count` bytes (used by the Data Allocator's MEM
@@ -500,8 +640,8 @@ impl PimModule {
     }
 
     /// [`Self::read_words`] into a caller-owned buffer: reads
-    /// `out.len()` bytes with the same timing and energy, so transfer
-    /// loops can reuse one buffer.
+    /// `out.len()` bytes with the same timing and energy, so a caller
+    /// can reuse one buffer.
     ///
     /// # Errors
     ///
@@ -513,15 +653,8 @@ impl PimModule {
         addr: usize,
         out: &mut [u8],
     ) -> Result<SimTime, ModuleError> {
-        let at = at.max(self.free_at);
-        let count = out.len();
-        self.check_range(mem, addr, count)?;
-        let done = self
-            .bank_mut(mem)?
-            .access(at, AccessKind::Read, count as u64)?
-            .done_at;
-        out.copy_from_slice(&self.data(mem)[addr..addr + count]);
-        self.free_at = done;
+        let done = self.access(at, mem, AccessKind::Read, addr, out.len())?;
+        self.data(mem).read(addr, out);
         Ok(done)
     }
 
@@ -537,18 +670,8 @@ impl PimModule {
         addr: usize,
         bytes: &[u8],
     ) -> Result<SimTime, ModuleError> {
-        let at = at.max(self.free_at);
-        self.check_range(mem, addr, bytes.len())?;
-        let done = self
-            .bank_mut(mem)?
-            .access(at, AccessKind::Write, bytes.len() as u64)?
-            .done_at;
-        let n = bytes.len();
-        self.data_mut(mem)[addr..addr + n].copy_from_slice(bytes);
-        let bank = self.bank_mut(mem)?;
-        let free = bank.free_bytes();
-        let _ = bank.store(n.min(free));
-        self.free_at = done;
+        let done = self.access(at, mem, AccessKind::Write, addr, bytes.len())?;
+        self.data_mut(mem).write(addr, bytes);
         Ok(done)
     }
 
@@ -787,6 +910,223 @@ mod tests {
             b.mac_stream_resolved(s1, MemSelect::Mram, &weights, &acts, 0, 2)
                 .unwrap_err()
         );
+    }
+
+    #[test]
+    fn unwritten_bytes_read_as_zero() {
+        let mut m = hp_module();
+        let cap = 64 * 1024;
+        for mem in [MemSelect::Mram, MemSelect::Sram] {
+            assert_eq!(m.read_back(mem, 0, cap).unwrap(), vec![0; cap]);
+            let mut out = [0xAAu8; 9];
+            m.read_words_into(SimTime::ZERO, mem, PAGE_BYTES - 4, &mut out)
+                .unwrap();
+            assert_eq!(out, [0; 9]);
+        }
+        // MACs over unwritten weights and activations fold zeros, and
+        // nothing above (reads, metering) materializes a page.
+        m.clear_acc();
+        m.mac(SimTime::ZERO, MemSelect::Mram, PAGE_BYTES - 2, 4)
+            .unwrap();
+        assert_eq!(m.pe().accumulator(), 0);
+        m.access(SimTime::ZERO, MemSelect::Sram, AccessKind::Write, 0, 64)
+            .unwrap();
+        assert_eq!(m.resident_bytes(), 0);
+        m.preload(MemSelect::Sram, 5, &[1]).unwrap();
+        assert_eq!(m.resident_bytes(), PAGE_BYTES);
+    }
+
+    #[test]
+    fn writes_reads_and_moves_cross_page_boundaries() {
+        let mut m = hp_module();
+        let at = PAGE_BYTES - 3;
+        let bytes: Vec<u8> = (1..=8).collect();
+        m.preload(MemSelect::Mram, at, &bytes).unwrap();
+        assert_eq!(m.resident_bytes(), 2 * PAGE_BYTES);
+        assert_eq!(m.read_back(MemSelect::Mram, at, 8).unwrap(), bytes);
+        assert_eq!(m.read_back(MemSelect::Mram, at - 1, 1).unwrap(), [0]);
+        assert_eq!(m.read_back(MemSelect::Mram, at + 8, 1).unwrap(), [0]);
+
+        m.move_intra(SimTime::ZERO, MemSelect::Mram, at, 8).unwrap();
+        assert_eq!(m.read_back(MemSelect::Sram, at, 8).unwrap(), bytes);
+        assert_eq!(m.resident_bytes(), 4 * PAGE_BYTES);
+
+        // Two pages apart, over a page wholly written in between.
+        let wide: Vec<u8> = (0..2 * PAGE_BYTES + 10).map(|i| i as u8 | 1).collect();
+        let base = 3 * PAGE_BYTES - 5;
+        m.write_words(SimTime::ZERO, MemSelect::Sram, base, &wide)
+            .unwrap();
+        let mut out = vec![0; wide.len()];
+        m.read_words_into(SimTime::ZERO, MemSelect::Sram, base, &mut out)
+            .unwrap();
+        assert_eq!(out, wide);
+        let (_, copy) = m
+            .read_words(SimTime::ZERO, MemSelect::Sram, base, wide.len())
+            .unwrap();
+        assert_eq!(copy, wide);
+    }
+
+    #[test]
+    fn resolved_mac_straddling_pages_equals_mac() {
+        // Activations straddle a page boundary too.
+        let cfg = ModuleConfig {
+            act_base: 12 * PAGE_BYTES - 7,
+            ..ModuleConfig::default()
+        };
+        let weights: Vec<u8> = (0..20u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let acts: Vec<u8> = (0..20u8).map(|i| i.wrapping_mul(91) ^ 0xC3).collect();
+        for mem in [MemSelect::Mram, MemSelect::Sram] {
+            let mut a = PimModule::new(ClusterClass::LowPower, cfg);
+            a.preload(mem, PAGE_BYTES - 11, &weights).unwrap();
+            a.preload(MemSelect::Sram, cfg.act_base, &acts).unwrap();
+            a.clear_acc();
+            let mut b = a.clone();
+            let w = b.bank(mem).resolve(AccessKind::Read);
+            let x = b.bank(MemSelect::Sram).resolve(AccessKind::Read);
+            for (addr, count) in [(PAGE_BYTES - 11, 12), (PAGE_BYTES + 1, 8)] {
+                let d1 = a.mac(SimTime::ZERO, mem, addr, count).unwrap();
+                let d2 = b
+                    .mac_resolved(SimTime::ZERO, mem, &w, &x, addr, count)
+                    .unwrap();
+                assert_eq!(d1, d2);
+                assert_eq!(a.pe().accumulator(), b.pe().accumulator());
+            }
+            let expect = weights
+                .iter()
+                .zip(&acts)
+                .fold(0i32, |d, (&w, &x)| d + w as i8 as i32 * x as i8 as i32);
+            assert_eq!(a.pe().accumulator(), expect);
+            assert_eq!(
+                a.total_energy().as_pj().to_bits(),
+                b.total_energy().as_pj().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_clone_is_independent_of_its_original() {
+        let mut a = hp_module();
+        a.preload(MemSelect::Mram, 0, &[1, 2, 3]).unwrap();
+        let mut b = a.clone();
+        b.preload(MemSelect::Mram, 1, &[9]).unwrap();
+        b.preload(MemSelect::Sram, 2 * PAGE_BYTES, &[7]).unwrap();
+        a.preload(MemSelect::Mram, 2, &[8]).unwrap();
+        assert_eq!(a.read_back(MemSelect::Mram, 0, 3).unwrap(), [1, 2, 8]);
+        assert_eq!(b.read_back(MemSelect::Mram, 0, 3).unwrap(), [1, 9, 3]);
+        assert_eq!(
+            a.read_back(MemSelect::Sram, 2 * PAGE_BYTES, 1).unwrap(),
+            [0]
+        );
+        assert_eq!(
+            (a.resident_bytes(), b.resident_bytes()),
+            (PAGE_BYTES, 2 * PAGE_BYTES)
+        );
+    }
+
+    #[test]
+    fn range_error_values_are_pinned() {
+        let mut m = hp_module();
+        let cap = 64 * 1024;
+        let oob = |addr| ModuleError::AddrOutOfRange {
+            addr,
+            capacity: cap,
+        };
+        let t = SimTime::ZERO;
+        assert_eq!(
+            m.read_back(MemSelect::Sram, cap, 1).unwrap_err(),
+            oob(cap + 1)
+        );
+        assert_eq!(
+            m.read_words(t, MemSelect::Mram, cap - 2, 4).unwrap_err(),
+            oob(cap + 2)
+        );
+        assert_eq!(
+            m.read_words_into(t, MemSelect::Sram, cap - 1, &mut [0; 3])
+                .unwrap_err(),
+            oob(cap + 2)
+        );
+        assert_eq!(
+            m.write_words(t, MemSelect::Mram, cap, &[1]).unwrap_err(),
+            oob(cap + 1)
+        );
+        assert_eq!(
+            m.move_intra(t, MemSelect::Mram, cap - 4, 8).unwrap_err(),
+            oob(cap + 4)
+        );
+        assert_eq!(
+            m.mac(t, MemSelect::Mram, cap - 1, 2).unwrap_err(),
+            oob(cap + 1)
+        );
+        assert_eq!(
+            m.mac_stream(t, MemSelect::Sram, cap, 3).unwrap_err(),
+            oob(cap + 1)
+        );
+        assert_eq!(
+            m.write_back(t, MemSelect::Sram, cap - 3).unwrap_err(),
+            oob(cap + 1)
+        );
+        assert_eq!(m.resident_bytes(), 0, "a failed access writes nothing");
+        // An SRAM-only module reports MRAM as a zero-capacity bank.
+        let mut s = PimModule::new(
+            ClusterClass::LowPower,
+            ModuleConfig {
+                mram_bytes: 0,
+                sram_bytes: 1024,
+                act_base: 512,
+            },
+        );
+        let none = |addr| ModuleError::AddrOutOfRange { addr, capacity: 0 };
+        assert_eq!(s.preload(MemSelect::Mram, 0, &[1, 2]).unwrap_err(), none(2));
+        assert_eq!(s.preload(MemSelect::Mram, 0, &[]).unwrap_err(), none(0));
+        assert_eq!(s.move_intra(t, MemSelect::Sram, 0, 4).unwrap_err(), none(4));
+        assert_eq!(
+            s.read_back(MemSelect::Sram, 1000, 30).unwrap_err(),
+            ModuleError::AddrOutOfRange {
+                addr: 1030,
+                capacity: 1024,
+            }
+        );
+    }
+
+    #[test]
+    fn byte_ranges_at_usize_max_are_range_errors() {
+        let mut m = hp_module();
+        let cap = 64 * 1024;
+        let max = ModuleError::AddrOutOfRange {
+            addr: usize::MAX,
+            capacity: cap,
+        };
+        let t = SimTime::ZERO;
+        let w = m.bank(MemSelect::Mram).resolve(AccessKind::Read);
+        let x = m.bank(MemSelect::Sram).resolve(AccessKind::Read);
+        for mem in [MemSelect::Mram, MemSelect::Sram] {
+            for (addr, len) in [(usize::MAX, 2), (usize::MAX - 1, 3), (1, usize::MAX)] {
+                assert_eq!(m.read_back(mem, addr, len).unwrap_err(), max);
+                assert_eq!(m.read_words(t, mem, addr, len).unwrap_err(), max);
+                assert_eq!(m.move_intra(t, mem, addr, len).unwrap_err(), max);
+                assert_eq!(m.mac(t, mem, addr, len).unwrap_err(), max);
+                assert_eq!(m.mac_resolved(t, mem, &w, &x, addr, len).unwrap_err(), max);
+                assert_eq!(
+                    m.access(t, mem, AccessKind::Write, addr, len).unwrap_err(),
+                    max
+                );
+            }
+            let addr = usize::MAX - 1;
+            assert_eq!(m.preload(mem, addr, &[1, 2, 3]).unwrap_err(), max);
+            assert_eq!(
+                m.read_words_into(t, mem, addr, &mut [0; 3]).unwrap_err(),
+                max
+            );
+            assert_eq!(m.write_words(t, mem, addr, &[1, 2, 3]).unwrap_err(), max);
+            assert_eq!(m.write_back(t, mem, addr).unwrap_err(), max);
+            assert_eq!(m.mac_stream(t, mem, usize::MAX, 4), Err(max));
+            assert_eq!(
+                m.mac_stream_resolved(t, mem, &w, &x, usize::MAX, 4),
+                Err(max)
+            );
+        }
+        assert_eq!(m.resident_bytes(), 0);
+        assert_eq!(m.free_at(), SimTime::ZERO, "no rejected access was timed");
     }
 
     #[test]

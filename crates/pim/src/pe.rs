@@ -26,6 +26,8 @@ use hhpim_sim::{BusyResource, SimTime};
 #[derive(Debug, Clone)]
 pub struct ProcessingElement {
     tech: PeTech,
+    /// `tech.mac_energy()`, fixed at construction.
+    mac_energy: Energy,
     acc: i32,
     unit: BusyResource,
     macs: u64,
@@ -40,6 +42,7 @@ impl ProcessingElement {
     pub fn new(tech: PeTech) -> Self {
         ProcessingElement {
             tech,
+            mac_energy: tech.mac_energy(),
             acc: 0,
             unit: BusyResource::new(),
             macs: 0,
@@ -135,7 +138,7 @@ impl ProcessingElement {
         }
         let n = operands.len() as u64;
         self.macs += n;
-        self.dynamic_energy += self.tech.mac_energy() * n;
+        self.dynamic_energy += self.mac_energy * n;
         self.unit.acquire(at, self.tech.mac_latency * n)
     }
 
@@ -156,7 +159,7 @@ impl ProcessingElement {
         self.advance_to(at);
         self.acc = self.acc.wrapping_add(delta);
         self.macs += count;
-        self.dynamic_energy += self.tech.mac_energy() * count;
+        self.dynamic_energy += self.mac_energy * count;
         self.unit.acquire(at, self.tech.mac_latency * count)
     }
 
@@ -174,7 +177,7 @@ impl ProcessingElement {
         assert!(self.powered, "MAC issued to a powered-off PE");
         self.advance_to(at);
         self.macs += count;
-        self.dynamic_energy += self.tech.mac_energy() * count;
+        self.dynamic_energy += self.mac_energy * count;
         self.unit.acquire(at, self.tech.mac_latency * count)
     }
 }
