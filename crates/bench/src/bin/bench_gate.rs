@@ -406,9 +406,8 @@ fn measure(samples: usize) -> Result<GateFile, String> {
 
     // engine_step_n_batch_64: the batched twin of engine_step_hot —
     // 64 equal-load slices submitted then executed by one
-    // `Engine::step_n` call, which collapses the run into a single
-    // `ExecutionBackend::step_n` drain (the amortized path behind
-    // `drain`/`pump` and the server's DRR inner loop).
+    // `Engine::step_n` call (the stepping loop behind `drain`/`pump`
+    // and the server's DRR grants).
     let mut batch_engine = Engine::new(
         SessionBuilder::new()
             .architecture(Architecture::HhPim)

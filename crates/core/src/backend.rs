@@ -54,7 +54,7 @@
 use crate::arch::{Architecture, GatingPolicy};
 use crate::compile::{compile_model, CompileError, CompiledProgram, LayerOp, WeightHome};
 use crate::cost::CostModelError;
-use crate::engine::{AnalyticRun, CycleRun, LayerAcc, ReplacementDecision, SliceOutcome};
+use crate::engine::{AnalyticRun, CycleRun, LayerAcc, SliceOutcome};
 use crate::runtime::{Processor, RuntimeConfig};
 use crate::space::{movement_legs, MovementLeg, Placement, StorageSpace};
 use crate::timegraph::TimeGraph;
@@ -354,9 +354,10 @@ pub trait ExecutionBackend: Send {
 
     /// Executes the next `n_slices` slices of the open stream, each
     /// with the same `n_tasks`, appending one [`SliceOutcome`] per
-    /// completed slice to `out` (`out` is not cleared). The batch twin
-    /// of [`ExecutionBackend::step_slice`] — engines use it to amortize
-    /// per-call overhead across runs of equal-load slices.
+    /// completed slice to `out` (`out` is not cleared). A convenience
+    /// loop over [`ExecutionBackend::step_slice`] for callers that step
+    /// a backend directly; the [`crate::engine::Engine`] steps every
+    /// backend slice by slice and never calls it.
     ///
     /// # Errors
     ///
@@ -721,7 +722,7 @@ impl CycleBackend {
         }
         self.wake_for(self.placement, target)?;
         let mut scratch = EnergyLedger::new();
-        let (record, _) = self.migrate(0, target, &mut scratch)?;
+        let record = self.migrate(0, target, &mut scratch)?;
         self.enter_idle()?;
         Ok(record)
     }
@@ -869,20 +870,19 @@ impl CycleBackend {
     /// Executes the weight migration from the current placement to
     /// `target` on the machine and accounts its dynamic traffic into
     /// `migration_dyn` (reclassified as [`EnergyCat::Movement`] at
-    /// report time). Returns the record and the leg plan it executed.
+    /// report time).
     fn migrate(
         &mut self,
         slice: usize,
         target: Placement,
         migration_dyn: &mut EnergyLedger<hhpim_pim::EnergyCat>,
-    ) -> Result<(MigrationRecord, Vec<MovementLeg>), BackendError> {
+    ) -> Result<MigrationRecord, BackendError> {
         let from = self.placement;
         let start = self.machine.now();
         let before = self.machine.probe().mem_dynamic;
         let group = self.processor.cost().params().group_size;
-        let legs = movement_legs(&from, &target);
         let mut groups = 0usize;
-        for &leg in &legs {
+        for leg in movement_legs(&from, &target) {
             groups += leg.groups;
             self.transfer_leg(leg, leg.groups * group)?;
         }
@@ -902,7 +902,7 @@ impl CycleBackend {
         }
         self.placement = target;
         self.refresh_head()?;
-        let record = MigrationRecord {
+        Ok(MigrationRecord {
             slice,
             from,
             to: target,
@@ -914,8 +914,7 @@ impl CycleBackend {
                 .saturating_since(start)
                 .mul_f64(self.time_scale),
             energy: moved_energy * self.time_scale,
-        };
-        Ok((record, legs))
+        })
     }
 
     /// Meters `bytes` of one migration leg: lanes pair source and
@@ -1051,15 +1050,15 @@ impl CycleBackend {
     }
 
     /// One slice on the machine: re-place if the queue length changed,
-    /// run the tasks, then gate down for the idle remainder. Returns the
-    /// leg plan of the slice's re-placement, if it made one.
+    /// run the tasks, then gate down for the idle remainder. Appends the
+    /// slice's record and migration to the run and returns them.
     fn do_slice(
         &mut self,
         run: &mut CycleRun,
         event_now: SimTime,
         slice: usize,
         n_tasks: u32,
-    ) -> Result<Option<Vec<MovementLeg>>, BackendError> {
+    ) -> Result<(SliceRecord, Option<MigrationRecord>), BackendError> {
         // Work may overrun a slice; the backlog then delays the next
         // slice's start, exactly like a busy port.
         let slice_start = event_now.max(self.machine.now());
@@ -1114,28 +1113,29 @@ impl CycleBackend {
         let t_constraint = usable / n;
         let task_time = busy.mul_f64(scale) / n;
         let total = self.machine.probe().total;
-        run.records.push(SliceRecord {
+        let record = SliceRecord {
             slice,
             n_tasks,
             placement: Some(self.placement),
             t_constraint,
             task_time,
             movement_time,
-            groups_moved: migration.as_ref().map(|(m, _)| m.groups).unwrap_or(0),
+            groups_moved: migration.as_ref().map_or(0, |m| m.groups),
             deadline_met: task_time <= t_constraint,
             energy: total.saturating_sub(run.prev_total) * scale,
-        });
+        };
         run.prev_total = total;
-        Ok(migration.map(|(m, legs)| {
-            run.migrations.push(m);
-            legs
-        }))
+        run.records.push(record.clone());
+        if let Some(m) = &migration {
+            run.migrations.push(m.clone());
+        }
+        Ok((record, migration))
     }
 
     /// One streaming step: boot on the first slice (its placement is
     /// adopted for free, mirroring the analytic runtime), execute the
-    /// slice at its nominal start time, and package the boundary
-    /// decisions for the engine.
+    /// slice at its nominal start time, and package its record and
+    /// re-placement for the engine.
     fn step_cycle(
         &mut self,
         run: &mut CycleRun,
@@ -1148,16 +1148,7 @@ impl CycleBackend {
         // The same instant the former event loop scheduled this slice
         // at: nominal starts on the native timeline, back-to-back.
         let event_now = run.start_now + run.native_slice * run.slice as u64;
-        let slice = run.slice;
-        let from = self.placement;
-        let legs = self.do_slice(run, event_now, slice, n_tasks)?;
-        let to = self.placement;
-        let record = run
-            .records
-            .last()
-            .expect("do_slice pushes a record")
-            .clone();
-        let migration = run.migrations.last().filter(|m| m.slice == slice).cloned();
+        let (record, migration) = self.do_slice(run, event_now, run.slice, n_tasks)?;
         let idle = self
             .processor
             .runtime()
@@ -1166,7 +1157,6 @@ impl CycleBackend {
         run.slice += 1;
         Ok(SliceOutcome {
             record,
-            replacement: legs.map(|legs| ReplacementDecision { from, to, legs }),
             migration,
             idle,
         })

@@ -23,11 +23,15 @@
 //! Both execution backends implement the resumable
 //! [`ExecutionBackend::step_slice`] path, so the engine owns the
 //! execution loop that used to be monolithic inside
-//! `Processor::run_trace` and `CycleBackend::execute`: the LUT lookup
-//! / re-placement decision happens per step behind the engine
-//! boundary, surfaced as [`EngineEvent::Replacement`]. The batch
-//! facade ([`crate::Session::run`], `execute`) is now a loop over this
-//! API and stays bit-identical to the former monolithic runs.
+//! `Processor::run_trace` and `CycleBackend::execute`. The loop takes
+//! one queued load at a time, converts it into a task count and steps
+//! every backend once, in order. The LUT lookup / re-placement
+//! decision happens in that step behind the engine boundary; the
+//! slice's [`SliceOutcome::migration`] carries it out, and the engine
+//! surfaces it as [`EngineEvent::Replacement`] followed by
+//! [`EngineEvent::Migration`]. The batch facade
+//! ([`crate::Session::run`], `execute`) is now a loop over this API
+//! and stays bit-identical to the former monolithic runs.
 //!
 //! Traces no longer need a known length: [`StreamSource`] generates
 //! loads forever, and [`Engine::pump`] executes as many slices of it
@@ -77,7 +81,7 @@ use crate::backend::{
     SliceRecord,
 };
 use crate::cost::CostParams;
-use crate::space::{MovementLeg, Placement};
+use crate::space::{movement_legs, MovementLeg, Placement};
 use hhpim_mem::{Energy, EnergyLedger};
 use hhpim_pim::RunReport;
 use hhpim_sim::{SimDuration, SimTime};
@@ -141,7 +145,8 @@ pub enum EngineEvent {
         from: Placement,
         /// Placement after the move.
         to: Placement,
-        /// The deterministic movement plan both backends execute.
+        /// The deterministic movement plan both backends execute
+        /// ([`movement_legs`] of `from` and `to`).
         legs: Vec<MovementLeg>,
     },
     /// The weight migration traffic realizing a replacement.
@@ -270,44 +275,36 @@ impl std::error::Error for EngineError {
 }
 
 /// What one [`ExecutionBackend::step_slice`] call yields back to the
-/// engine: the slice's record plus the boundary decisions that
-/// produced it.
+/// engine: the slice's record plus the re-placement that preceded it.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct SliceOutcome {
     /// The completed slice's record (also appended to the backend's
     /// final [`ExecutionReport`]).
     pub record: SliceRecord,
-    /// The re-placement decision taken at the slice boundary, if the
-    /// policy moved (`None` on the free boot adoption).
-    pub replacement: Option<ReplacementDecision>,
-    /// The migration traffic realizing the replacement, if any.
+    /// The re-placement the policy made at the slice boundary and the
+    /// traffic that realized it (`None` when the placement stayed, and
+    /// on the free boot adoption). Its `from` and `to` are the two
+    /// placements; the leg plan is [`movement_legs`] of them.
     pub migration: Option<MigrationRecord>,
     /// Idle time left in the slice after movement and compute.
     pub idle: SimDuration,
 }
 
 impl SliceOutcome {
-    /// An outcome with no boundary decisions — the struct is
+    /// An outcome with no re-placement — the struct is
     /// `#[non_exhaustive]`, so out-of-crate [`ExecutionBackend`]
     /// implementations build outcomes through this constructor and
-    /// the `with_*` setters instead of literal syntax.
+    /// [`SliceOutcome::with_migration`] instead of literal syntax.
     pub fn new(record: SliceRecord, idle: SimDuration) -> Self {
         SliceOutcome {
             record,
-            replacement: None,
             migration: None,
             idle,
         }
     }
 
-    /// Attaches the boundary re-placement decision.
-    pub fn with_replacement(mut self, decision: ReplacementDecision) -> Self {
-        self.replacement = Some(decision);
-        self
-    }
-
-    /// Attaches the migration traffic realizing the replacement.
+    /// Attaches the slice-boundary re-placement and its traffic.
     pub fn with_migration(mut self, record: MigrationRecord) -> Self {
         self.migration = Some(record);
         self
@@ -323,16 +320,15 @@ impl SliceOutcome {
         n_tasks: u32,
         mut emit: impl FnMut(EngineEvent),
     ) {
-        if let Some(decision) = self.replacement {
+        if let Some(record) = self.migration {
+            let (from, to) = (record.from, record.to);
             emit(EngineEvent::Replacement {
                 backend,
                 slice,
-                from: decision.from,
-                to: decision.to,
-                legs: decision.legs,
+                from,
+                to,
+                legs: movement_legs(&from, &to),
             });
-        }
-        if let Some(record) = self.migration {
             emit(EngineEvent::Migration { backend, record });
         }
         let missed = !self.record.deadline_met;
@@ -358,19 +354,6 @@ impl SliceOutcome {
             });
         }
     }
-}
-
-/// A placement change decided at a slice boundary — the output of the
-/// LUT lookup (or whatever policy is bound) before any traffic moves.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplacementDecision {
-    /// Placement before the move.
-    pub from: Placement,
-    /// Placement after the move.
-    pub to: Placement,
-    /// The deterministic leg plan ([`crate::movement_legs`]) both
-    /// backends execute for this transition.
-    pub legs: Vec<MovementLeg>,
 }
 
 /// An unbounded load source: a closure sampled at an ever-advancing
@@ -434,9 +417,6 @@ pub struct Engine {
     next_slice: usize,
     started: bool,
     log: EventLog<EngineEvent>,
-    /// One outcome column per backend, reused by [`Engine::run_slices`]
-    /// so steady-state stepping allocates nothing for outcome transport.
-    outcomes: Vec<VecDeque<SliceOutcome>>,
 }
 
 impl fmt::Debug for Engine {
@@ -468,7 +448,6 @@ impl Engine {
             .map(|b| b.runtime_config().max_tasks)
             .unwrap_or(CostParams::default().max_tasks_per_slice);
         Engine {
-            outcomes: backends.iter().map(|_| VecDeque::new()).collect(),
             backends,
             max_tasks,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
@@ -583,9 +562,8 @@ impl Engine {
         loop {
             match self.submit(load)? {
                 SubmitOutcome::Accepted => return Ok(()),
+                // Make room by executing every queued slice.
                 SubmitOutcome::Deferred => {
-                    // Make room by draining the run at the queue head
-                    // in one batched call rather than slice by slice.
                     self.step_n(self.queue.len().max(1))?;
                 }
             }
@@ -604,24 +582,22 @@ impl Engine {
         Ok((self.step_n(1)? == 1).then_some(slice))
     }
 
-    /// Executes up to `max_slices` queued slices in one call, emitting
+    /// Executes up to `max_slices` queued slices, oldest first, emitting
     /// their events. Returns the number of slices executed (0 when the
     /// queue is empty).
     ///
-    /// Each run of equal-task-count loads at the queue head goes to
-    /// every backend as one [`ExecutionBackend::step_n`] call, so the
-    /// per-call run bookkeeping is paid once per *run* instead of once
-    /// per slice. Events come slice by slice, and within a slice in
-    /// backend order — as if every backend had stepped one slice at a
-    /// time.
+    /// Each slice steps every backend once through
+    /// [`ExecutionBackend::step_slice`], in engine order, so events
+    /// come slice by slice and in backend order within a slice.
     ///
     /// # Errors
     ///
     /// [`EngineError::Backend`] when a backend fails. A failing
     /// `begin_stream` leaves the queue as it was. A failing step emits
-    /// the events of everything that ran before it, then poisons the
-    /// stream: queued loads and buffered events are discarded and the
-    /// next step restarts every backend at slice 0.
+    /// the events of everything that ran before it — the earlier slices
+    /// and the failing slice on the backends ahead of the failing one —
+    /// then poisons the stream: queued loads and buffered events are
+    /// discarded and the next step restarts every backend at slice 0.
     pub fn step_n(&mut self, max_slices: usize) -> Result<usize, EngineError> {
         self.run_slices(max_slices, |log, backend, slice, n_tasks, outcome| {
             outcome.into_events(backend, slice, n_tasks, |event| log.emit(event));
@@ -631,69 +607,43 @@ impl Engine {
     /// The engine's one stepping loop, behind [`Engine::step_n`] and
     /// the server's grants: executes up to `max_slices` queued slices
     /// and hands each backend's outcome of each slice to `sink` as
-    /// `(log, backend, slice, n_tasks, outcome)`, slice by slice and in
-    /// backend order within a slice; `log` is the engine's own, which
-    /// `step_n` writes to. A failing step first hands on everything
-    /// that ran before it, then poisons the stream.
+    /// `(log, backend, slice, n_tasks, outcome)` as soon as it exists;
+    /// `log` is the engine's own, which `step_n` writes to. A failing
+    /// step poisons the stream after everything before it was handed
+    /// on.
     pub(crate) fn run_slices(
         &mut self,
         max_slices: usize,
         mut sink: impl FnMut(&mut EventLog<EngineEvent>, BackendKind, usize, u32, SliceOutcome),
     ) -> Result<usize, EngineError> {
-        let mut executed = 0usize;
+        let mut executed = 0;
         while executed < max_slices {
-            let Some(&front) = self.queue.front() else {
+            let Some(load) = self.queue.front().copied() else {
                 break;
             };
-            let n_tasks = LoadTrace::task_count_for(front, self.max_tasks);
-            // Length of the equal-task-count run at the queue head,
-            // capped at `step_n`'s `u32` slice count.
-            let run = self
-                .queue
-                .iter()
-                .take((max_slices - executed).min(u32::MAX as usize))
-                .take_while(|&&load| LoadTrace::task_count_for(load, self.max_tasks) == n_tasks)
-                .count();
             self.ensure_started()?;
-            self.queue.drain(..run);
-            // A backend steps only as far as every earlier one got, so
-            // a failure leaves `done` at the slice it happened in.
-            let mut done = run;
-            let mut failure = None;
-            for (backend, column) in self.backends.iter_mut().zip(&mut self.outcomes) {
-                column.clear();
-                let mut out = Vec::from(std::mem::take(column));
-                let result = backend.step_n(n_tasks, done as u32, &mut out);
-                done = done.min(out.len());
-                *column = VecDeque::from(out);
-                if let Err(error) = result {
-                    let backend = backend.kind();
-                    failure = Some(EngineError::Backend { backend, error });
-                }
-            }
-            // A failure adds the failing slice's row: only the backends
-            // ahead of the failing one got that far.
-            for _ in 0..done + usize::from(failure.is_some()) {
-                for (backend, column) in self.backends.iter().zip(&mut self.outcomes) {
-                    if let Some(outcome) = column.pop_front() {
-                        let slice = self.next_slice;
-                        sink(&mut self.log, backend.kind(), slice, n_tasks, outcome);
+            self.queue.pop_front();
+            let n_tasks = LoadTrace::task_count_for(load, self.max_tasks);
+            let slice = self.next_slice;
+            for backend in &mut self.backends {
+                match backend.step_slice(n_tasks) {
+                    Ok(outcome) => sink(&mut self.log, backend.kind(), slice, n_tasks, outcome),
+                    Err(error) => {
+                        let backend = backend.kind();
+                        // Poison: the aborted stream will never report,
+                        // so its loads and events go, and the next step
+                        // restarts every backend at slice 0.
+                        self.started = false;
+                        self.next_slice = 0;
+                        self.queue.clear();
+                        self.log.pending.clear();
+                        self.log.dropped = 0;
+                        return Err(EngineError::Backend { backend, error });
                     }
                 }
-                self.next_slice += 1;
             }
-            if let Some(error) = failure {
-                // Poison: the aborted stream will never report, so its
-                // loads and events go, and the next step restarts every
-                // backend at slice 0.
-                self.started = false;
-                self.next_slice = 0;
-                self.queue.clear();
-                self.log.pending.clear();
-                self.log.dropped = 0;
-                return Err(error);
-            }
-            executed += done;
+            self.next_slice += 1;
+            executed += 1;
         }
         Ok(executed)
     }

@@ -109,8 +109,7 @@ pub use compile::{
 pub use cost::{CostModel, CostModelError, CostParams, WorkloadProfile};
 pub use dp::{AllocationLut, OptimalPlacement, OptimizerConfig, PlacementOptimizer};
 pub use engine::{
-    Engine, EngineError, EngineEvent, Observer, ReplacementDecision, SliceOutcome, StreamSource,
-    SubmitOutcome,
+    Engine, EngineError, EngineEvent, Observer, SliceOutcome, StreamSource, SubmitOutcome,
 };
 pub use error::{Error, Result};
 pub use experiment::{SavingsCell, SavingsMatrix};

@@ -14,9 +14,9 @@ use crate::backend::{
 };
 use crate::cost::{CostModel, CostModelError, CostParams, WorkloadProfile};
 use crate::dp::OptimizerConfig;
-use crate::engine::{AnalyticRun, ReplacementDecision, SliceOutcome};
+use crate::engine::{AnalyticRun, SliceOutcome};
 use crate::policy::{default_policy, PlacementPolicy};
-use crate::space::{movement_legs, MovementLeg, Placement, StorageSpace};
+use crate::space::{movement_legs, Placement, StorageSpace};
 use crate::store::PlacementStore;
 use hhpim_mem::{ClusterClass, Energy, MemKind, Power};
 use hhpim_nn::TinyMlModel;
@@ -24,8 +24,8 @@ use hhpim_sim::{SimDuration, SimTime};
 use hhpim_workload::LoadTrace;
 
 /// One memoized slice evaluation, keyed by `(from, n_tasks)`: the
-/// target placement (pure in `n_tasks`), the movement plan and its
-/// cost, the record template (per-slice `slice` patched on replay),
+/// record and migration templates (per-slice `slice` patched on
+/// replay; the record's placement is the target, pure in `n_tasks`),
 /// the slice's ledger additions in emission order, and the per-task
 /// dynamic energy — everything a steady-state [`Processor::step_run`]
 /// needs without re-deriving the cost model.
@@ -33,12 +33,6 @@ use hhpim_workload::LoadTrace;
 pub(crate) struct StepMemo {
     pub(crate) from: Placement,
     pub(crate) n_tasks: u32,
-    pub(crate) to: Placement,
-    pub(crate) movement_time: SimDuration,
-    pub(crate) movement_energy: Energy,
-    pub(crate) groups_moved: usize,
-    pub(crate) bytes_moved: usize,
-    pub(crate) legs: Vec<MovementLeg>,
     pub(crate) adds: Vec<(EnergyCat, Energy)>,
     /// Ledger slot per `adds` entry, valid while `ledger_len` matches
     /// the run ledger's length (categories are insert-only, so an
@@ -48,6 +42,8 @@ pub(crate) struct StepMemo {
     /// first resolved).
     pub(crate) ledger_len: usize,
     pub(crate) record: SliceRecord,
+    /// The re-placement's traffic, if the slice moves any group.
+    pub(crate) migration: Option<MigrationRecord>,
     pub(crate) idle: SimDuration,
     pub(crate) dynamic_per_task: Energy,
 }
@@ -275,15 +271,14 @@ impl Processor {
     }
 
     /// Evaluates one slice under `placement` with `n_tasks` tasks,
-    /// charging `movement` at the boundary. Returns the record and
-    /// pushes the slice's energy contributions onto `adds` in ledger
-    /// order (the caller replays them into its ledger — and may cache
-    /// the list, since the evaluation is a pure function of placement,
-    /// task count and movement).
-    #[allow(clippy::too_many_arguments)]
+    /// charging `movement` at the boundary. Returns the record, numbered
+    /// slice 0 for the caller to renumber, and pushes the slice's energy
+    /// contributions onto `adds` in ledger order (the caller replays
+    /// them into its ledger — and may cache the list, since the
+    /// evaluation is a pure function of placement, task count and
+    /// movement).
     fn evaluate_slice(
         &self,
-        slice: usize,
         placement: Placement,
         n_tasks: u32,
         movement_time: SimDuration,
@@ -372,7 +367,7 @@ impl Processor {
         add(EnergyCat::Controller, self.runtime.controller_static * t);
 
         SliceRecord {
-            slice,
+            slice: 0,
             n_tasks,
             placement: Some(placement),
             t_constraint,
@@ -429,26 +424,29 @@ impl Processor {
             Some(i) => i,
             None => {
                 let (mt, me, moved) = self.movement_cost(&from, &placement);
-                let legs = movement_legs(&from, &placement);
                 let mut adds = Vec::new();
-                let record = self.evaluate_slice(0, placement, n_tasks, mt, me, moved, &mut adds);
+                let record = self.evaluate_slice(placement, n_tasks, mt, me, moved, &mut adds);
                 let idle = self
                     .runtime
                     .slice_duration
                     .saturating_sub(mt + record.task_time * n_tasks as u64);
+                let migration = (moved > 0).then_some(MigrationRecord {
+                    slice: 0,
+                    from,
+                    to: placement,
+                    groups: moved,
+                    bytes: moved * self.cost.params().group_size,
+                    time: mt,
+                    energy: me,
+                });
                 run.steps.push(StepMemo {
                     from,
                     n_tasks,
-                    to: placement,
-                    movement_time: mt,
-                    movement_energy: me,
-                    groups_moved: moved,
-                    bytes_moved: moved * self.cost.params().group_size,
-                    legs,
                     adds,
                     slots: Vec::new(),
                     ledger_len: usize::MAX,
                     record,
+                    migration,
                     idle,
                     dynamic_per_task: self.cost.dynamic_energy_per_task(&placement),
                 });
@@ -482,14 +480,9 @@ impl Processor {
         let memo = &run.steps[memo_idx];
         let mut record = memo.record.clone();
         record.slice = run.slice;
-        let migration = (memo.groups_moved > 0).then_some(MigrationRecord {
+        let migration = memo.migration.clone().map(|m| MigrationRecord {
             slice: run.slice,
-            from,
-            to: memo.to,
-            groups: memo.groups_moved,
-            bytes: memo.bytes_moved,
-            time: memo.movement_time,
-            energy: memo.movement_energy,
+            ..m
         });
         if let Some(m) = &migration {
             run.migrations.push(m.clone());
@@ -498,19 +491,12 @@ impl Processor {
         run.dynamic += memo.dynamic_per_task * n_tasks as u64;
         run.total_tasks += n_tasks as u64;
         run.records.push(record.clone());
-        run.prev = Some(memo.to);
+        run.prev = memo.record.placement;
         run.slice += 1;
-        let replacement = (memo.groups_moved > 0).then(|| ReplacementDecision {
-            from,
-            to: memo.to,
-            legs: memo.legs.clone(),
-        });
-        let idle = memo.idle;
         SliceOutcome {
             record,
-            replacement,
             migration,
-            idle,
+            idle: memo.idle,
         }
     }
 

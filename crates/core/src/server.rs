@@ -1263,7 +1263,7 @@ impl Server {
     }
 
     /// Execution pass for one tenant: grant its DRR quantum as one
-    /// batched engine call, charging one deficit unit per slice; the
+    /// engine call, charging one deficit unit per slice; the
     /// deficit resets when its queue empties (no banking). Returns
     /// slices executed.
     fn serve_quantum(&mut self, i: usize) -> Result<usize, ServerError> {

@@ -615,14 +615,14 @@ mod tests {
         let max = graph.runtime_config().max_tasks;
         graph.begin_stream().unwrap();
         object.begin_stream().unwrap();
-        // Oscillating queue depth forces LUT re-placements (Replacement
-        // legs + migration traffic) mid-stream; outcomes must splice
+        // Oscillating queue depth forces LUT re-placements (and their
+        // migration traffic) mid-stream; outcomes must splice
         // identically.
         let mut saw_replacement = false;
         for n in [1, max, max, 1, max, 1, 3, max] {
             let g = graph.step_slice(n).unwrap();
             let o = object.step_slice(n).unwrap();
-            saw_replacement |= g.replacement.is_some();
+            saw_replacement |= g.migration.is_some();
             assert_eq!(g, o, "outcome diverged at n_tasks={n}");
         }
         assert!(saw_replacement, "test never exercised a re-placement");

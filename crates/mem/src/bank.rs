@@ -76,6 +76,9 @@ pub enum BankError {
     },
     /// Freeing more bytes than are live.
     Underflow,
+    /// A burst's service time or completion instant does not fit in
+    /// [`SimTime`].
+    TimeOverflow,
 }
 
 impl fmt::Display for BankError {
@@ -95,6 +98,7 @@ impl fmt::Display for BankError {
                 write!(f, "gating volatile bank would lose {live_bytes} live bytes")
             }
             BankError::Underflow => write!(f, "freeing more bytes than are live"),
+            BankError::TimeOverflow => write!(f, "burst would end past the last SimTime"),
         }
     }
 }
@@ -253,6 +257,7 @@ impl MemoryBank {
     ///
     /// Must be called with monotonically non-decreasing times; earlier
     /// times are ignored.
+    #[inline]
     pub fn advance_to(&mut self, now: SimTime) {
         if now <= self.last_accrual {
             return;
@@ -302,7 +307,7 @@ impl MemoryBank {
     ///
     /// # Errors
     ///
-    /// Returns [`BankError::Gated`] if the bank is gated.
+    /// See [`MemoryBank::access_resolved`].
     pub fn access(
         &mut self,
         at: SimTime,
@@ -328,13 +333,31 @@ impl MemoryBank {
         }
     }
 
+    /// The instant a burst of `words` issued at `at` would complete on
+    /// the bank's port, or `None` when its service time or completion
+    /// instant does not fit in [`SimTime`]. Changes nothing.
+    #[inline]
+    pub fn burst_done(
+        &self,
+        at: SimTime,
+        resolved: &ResolvedAccess,
+        words: u64,
+    ) -> Option<SimTime> {
+        let service = resolved.latency.checked_mul(words)?;
+        self.port.free_at().max(at).checked_add(service)
+    }
+
     /// [`MemoryBank::access`] with pre-resolved coefficients: identical
     /// gating check, port serialization, energy accrual and counters,
     /// minus the technology lookup.
     ///
     /// # Errors
     ///
-    /// Returns [`BankError::Gated`] if the bank is gated.
+    /// Returns [`BankError::Gated`] if the bank is gated, and
+    /// [`BankError::TimeOverflow`] if the burst would end past the last
+    /// [`SimTime`] ([`MemoryBank::burst_done`]). Neither changes the
+    /// bank.
+    #[inline]
     pub fn access_resolved(
         &mut self,
         at: SimTime,
@@ -344,9 +367,11 @@ impl MemoryBank {
         if self.state == GateState::Gated {
             return Err(BankError::Gated);
         }
+        if self.burst_done(at, resolved, words).is_none() {
+            return Err(BankError::TimeOverflow);
+        }
         self.advance_to(at);
-        let service = resolved.latency * words;
-        let done_at = self.port.acquire(at, service);
+        let done_at = self.port.acquire(at, resolved.latency * words);
         let energy = resolved.energy_per_word * words;
         self.dynamic_energy += energy;
         match resolved.kind {

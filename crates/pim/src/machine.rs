@@ -527,7 +527,9 @@ impl PimMachine {
     ///
     /// # Errors
     ///
-    /// Propagates routing and module errors.
+    /// Propagates routing and module errors, among them
+    /// [`ModuleError::TimeOverflow`] for a stream that would end past the
+    /// last [`SimTime`]; the module that reports it is left unchanged.
     pub fn mac_stream(
         &mut self,
         mask: ModuleMask,
@@ -857,6 +859,41 @@ mod tests {
         assert!((ea - eb).abs() < 1e-6, "stream {eb} vs mac {ea}");
         // The stream leaves the accumulator untouched.
         assert_eq!(b.module(0).pe().accumulator(), 0);
+    }
+
+    #[test]
+    fn mac_streams_past_the_last_simtime_are_typed_errors() {
+        use hhpim_mem::AccessKind::Read;
+        let mut m = machine();
+        let (before, t) = (m.module(0).clone(), SimTime::ZERO);
+        let lat = |mem| before.bank(mem).resolve(Read).latency.as_ps() as usize;
+        let pe = before.pe().tech().mac_latency.as_ps() as usize;
+        // At the third count every burst fits, but the PE would finish
+        // past the last SimTime: after the slower MRAM weight burst, or
+        // after both SRAM bursts on the one port.
+        let chains = [lat(MemSelect::Mram) + pe, 2 * lat(MemSelect::Sram) + pe];
+        for (mem, chain) in [MemSelect::Mram, MemSelect::Sram].into_iter().zip(chains) {
+            let w = before.bank(mem).resolve(Read);
+            let x = before.bank(MemSelect::Sram).resolve(Read);
+            for count in [1 << 62, usize::MAX, usize::MAX / chain + 1] {
+                let error = ModuleError::TimeOverflow;
+                assert_eq!(
+                    m.mac_stream(ModuleMask::single(0), mem, 0, count),
+                    Err(MachineError::Module { module: 0, error })
+                );
+                let g = m.module_mut(0);
+                assert_eq!(g.mac_stream(t, mem, 0, count), Err(error));
+                assert_eq!(g.mac_stream_resolved(t, mem, &w, &x, 0, count), Err(error));
+                let after = format!("{:?}", m.module(0));
+                assert_eq!(after, format!("{before:?}"), "{mem:?} x{count}");
+            }
+        }
+        // The machine's timeline survives: a later stream ends in
+        // nanoseconds, a few controller dispatches late.
+        m.mac_stream(ModuleMask::single(0), MemSelect::Sram, 0, 4)
+            .unwrap();
+        m.execute(PimInstruction::Barrier).unwrap();
+        assert!(m.now() < SimTime::from_ns(1_000), "{}", m.now());
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub enum ModuleError {
     },
     /// The activation pointer would run past the SRAM activation region.
     ActivationOverrun,
+    /// A MAC stream would end past the last [`SimTime`].
+    TimeOverflow,
 }
 
 impl fmt::Display for ModuleError {
@@ -49,6 +51,7 @@ impl fmt::Display for ModuleError {
                 write!(f, "address {addr:#x} outside bank of {capacity} bytes")
             }
             ModuleError::ActivationOverrun => write!(f, "activation pointer overran SRAM"),
+            ModuleError::TimeOverflow => write!(f, "MAC stream would end past the last SimTime"),
         }
     }
 }
@@ -423,7 +426,8 @@ impl PimModule {
     ///
     /// # Errors
     ///
-    /// Propagates bank errors (gated banks) and range errors on `addr`.
+    /// Propagates bank errors (gated banks) and range errors on `addr`;
+    /// see [`Self::mac_stream_resolved`].
     pub fn mac_stream(
         &mut self,
         at: SimTime,
@@ -431,20 +435,10 @@ impl PimModule {
         addr: usize,
         count: usize,
     ) -> Result<SimTime, ModuleError> {
-        let at = at.max(self.free_at);
         self.check_range(mem, addr, 1)?;
-        let w_done = self
-            .bank_mut(mem)?
-            .access(at, AccessKind::Read, count as u64)?
-            .done_at;
-        let a_done = self
-            .sram
-            .access(at, AccessKind::Read, count as u64)?
-            .done_at;
-        let operands_ready = w_done.max(a_done);
-        let done = self.pe.mac_stream(operands_ready, count as u64);
-        self.free_at = done;
-        Ok(done)
+        let weights = self.bank(mem).resolve(AccessKind::Read);
+        let acts = self.sram.resolve(AccessKind::Read);
+        self.mac_stream_resolved(at, mem, &weights, &acts, addr, count)
     }
 
     /// [`Self::mac`] with pre-resolved bank coefficients and no operand
@@ -503,6 +497,9 @@ impl PimModule {
     /// # Errors
     ///
     /// Propagates bank errors (gated banks) and range errors on `addr`.
+    /// Returns [`ModuleError::TimeOverflow`] when a burst or the stream
+    /// would end past the last [`SimTime`]; the module is then left
+    /// exactly as it was.
     pub fn mac_stream_resolved(
         &mut self,
         at: SimTime,
@@ -514,13 +511,29 @@ impl PimModule {
     ) -> Result<SimTime, ModuleError> {
         let at = at.max(self.free_at);
         self.check_range(mem, addr, 1)?;
+        let words = count as u64;
+        // Time the whole stream before any bank or the PE changes, so an
+        // overflow late in the chain leaves no burst half-charged. With
+        // SRAM weights both bursts share one port, so the activations
+        // queue behind the weights.
+        let stream_end = (|| {
+            let w_done = self.bank(mem).burst_done(at, weights, words)?;
+            let a_at = if mem == MemSelect::Sram { w_done } else { at };
+            let a_done = self.sram.burst_done(a_at, acts, words)?;
+            self.pe.stream_done(w_done.max(a_done), words)
+        })();
+        if stream_end.is_none() {
+            return Err(ModuleError::TimeOverflow);
+        }
         let w_done = self
             .bank_mut(mem)?
-            .access_resolved(at, weights, count as u64)?
+            .access_resolved(at, weights, words)?
             .done_at;
-        let a_done = self.sram.access_resolved(at, acts, count as u64)?.done_at;
-        let operands_ready = w_done.max(a_done);
-        let done = self.pe.mac_stream(operands_ready, count as u64);
+        let a_done = self.sram.access_resolved(at, acts, words)?.done_at;
+        let done = self
+            .pe
+            .mac_stream(w_done.max(a_done), words)
+            .ok_or(ModuleError::TimeOverflow)?;
         self.free_at = done;
         Ok(done)
     }

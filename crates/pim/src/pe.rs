@@ -131,15 +131,11 @@ impl ProcessingElement {
     ///
     /// Panics if the PE is powered off.
     pub fn mac_burst(&mut self, at: SimTime, operands: &[(i8, i8)]) -> SimTime {
-        assert!(self.powered, "MAC issued to a powered-off PE");
-        self.advance_to(at);
+        let done = self.retire(at, operands.len() as u64);
         for &(w, a) in operands {
             self.acc = self.acc.wrapping_add((w as i32) * (a as i32));
         }
-        let n = operands.len() as u64;
-        self.macs += n;
-        self.dynamic_energy += self.mac_energy * n;
-        self.unit.acquire(at, self.tech.mac_latency * n)
+        done
     }
 
     /// Executes a burst of `count` MACs whose products have already been
@@ -155,16 +151,23 @@ impl ProcessingElement {
     ///
     /// Panics if the PE is powered off.
     pub fn mac_burst_prefolded(&mut self, at: SimTime, delta: i32, count: u64) -> SimTime {
-        assert!(self.powered, "MAC issued to a powered-off PE");
-        self.advance_to(at);
+        let done = self.retire(at, count);
         self.acc = self.acc.wrapping_add(delta);
-        self.macs += count;
-        self.dynamic_energy += self.mac_energy * count;
-        self.unit.acquire(at, self.tech.mac_latency * count)
+        done
+    }
+
+    /// The instant a [`Self::mac_stream`] of `count` MACs issued at `at`
+    /// would complete, or `None` when its latency or completion instant
+    /// does not fit in [`SimTime`]. Changes nothing.
+    pub fn stream_done(&self, at: SimTime, count: u64) -> Option<SimTime> {
+        let latency = self.tech.mac_latency.checked_mul(count)?;
+        self.unit.free_at().max(at).checked_add(latency)
     }
 
     /// Retires `count` MACs with exact timing/energy/counter metering
-    /// but no functional accumulation (the accumulator is untouched).
+    /// but no functional accumulation (the accumulator is untouched),
+    /// returning the completion instant — or `None`, with nothing
+    /// changed, when the stream would end past the last [`SimTime`].
     ///
     /// This is the traffic-level twin of [`Self::mac_burst`] used by
     /// compiled multi-layer schedules, where operand values cannot
@@ -173,7 +176,14 @@ impl ProcessingElement {
     /// # Panics
     ///
     /// Panics if the PE is powered off.
-    pub fn mac_stream(&mut self, at: SimTime, count: u64) -> SimTime {
+    pub fn mac_stream(&mut self, at: SimTime, count: u64) -> Option<SimTime> {
+        self.stream_done(at, count)?;
+        Some(self.retire(at, count))
+    }
+
+    /// Meters `count` MACs issued at `at` and returns their completion
+    /// instant; panics if the PE is powered off.
+    fn retire(&mut self, at: SimTime, count: u64) -> SimTime {
         assert!(self.powered, "MAC issued to a powered-off PE");
         self.advance_to(at);
         self.macs += count;

@@ -34,6 +34,7 @@ impl BusyResource {
     }
 
     /// The instant at which the resource next becomes free.
+    #[inline]
     pub fn free_at(&self) -> SimTime {
         self.free_at
     }
@@ -56,6 +57,7 @@ impl BusyResource {
     /// Serves a request arriving at `at` with the given `service` time;
     /// returns the completion instant. Requests queue FIFO: service starts
     /// at `max(at, free_at)`.
+    #[inline]
     pub fn acquire(&mut self, at: SimTime, service: SimDuration) -> SimTime {
         let start = self.free_at.max(at);
         let done = start + service;

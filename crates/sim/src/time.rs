@@ -73,6 +73,7 @@ impl SimTime {
     }
 
     /// Checked addition of a duration; `None` on overflow.
+    #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
@@ -158,6 +159,7 @@ impl SimDuration {
     }
 
     /// Checked multiplication by an integer count; `None` on overflow.
+    #[inline]
     pub fn checked_mul(self, n: u64) -> Option<SimDuration> {
         self.0.checked_mul(n).map(SimDuration)
     }

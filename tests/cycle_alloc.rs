@@ -1,18 +1,22 @@
-//! Heap allocations and live heap of the cycle backend.
+//! Heap allocations and live heap of both backends.
 //!
 //! A counting `#[global_allocator]` records every `alloc` and
 //! `realloc`, and the bytes they hold until freed, in thread-local
 //! counters, so the test threads the harness runs in parallel never
 //! add to each other's counts. Each slice test drives one HH-PIM
-//! `CycleBackend` stream through `step_slice` and counts a window of
-//! slices after a warm-up that has lowered every placement's
-//! timing-graph program.
+//! backend stream through `step_slice` and counts a window of slices
+//! after a warm-up that has seen every transition of its load cycle:
+//! the cycle backend has lowered every placement's timing-graph
+//! program, and the analytic backend has memoized every
+//! `(from, n_tasks)` slice evaluation.
 //!
 //! What a slice may still allocate:
 //! - the growth of the stream's `records` and `migrations` vectors,
 //!   which double, so one reallocation per power of two crossed;
-//! - on a re-placement, the one leg plan (`movement_legs`), which
-//!   moves into the slice's `ReplacementDecision`.
+//! - on a cycle re-placement, the leg plan (`movement_legs`) that
+//!   `CycleBackend` walks to meter the migration traffic. An analytic
+//!   re-placement replays its memoized migration and allocates
+//!   nothing.
 //!
 //! What a backend holds: its machine's banks materialize a page on
 //! first write, and only the classifier head and its activations are
@@ -20,7 +24,7 @@
 //! banks' capacity and a stream's migration legs, which meter their
 //! traffic without moving bytes, materialize no page.
 
-use hhpim::{Architecture, CycleBackend, ExecutionBackend};
+use hhpim::{AnalyticBackend, Architecture, CycleBackend, ExecutionBackend};
 use hhpim_nn::TinyMlModel;
 use hhpim_pim::PAGE_BYTES;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,6 +94,30 @@ fn doublings(from: usize, to: usize) -> u64 {
     (from..to).filter(|n| n.is_power_of_two()).count() as u64
 }
 
+/// A load cycle that re-places on most slices under HH-PIM's LUT.
+const LOADS: [u32; 10] = [1, 3, 3, 7, 2, 2, 10, 4, 1, 5];
+const WARM: usize = 100;
+const WINDOW: usize = 400;
+
+/// Steps an open stream through `WARM` slices of the load cycle, then
+/// counts the next `WINDOW`. Returns the window's allocations, its
+/// re-placements, and the reallocations the doubling `records` and
+/// `migrations` vectors make across it.
+fn replacing_window(backend: &mut impl ExecutionBackend) -> (u64, usize, u64) {
+    let mut migrations = 0;
+    for &n in LOADS.iter().cycle().take(WARM) {
+        migrations += usize::from(backend.step_slice(n).unwrap().migration.is_some());
+    }
+    let mut replacements = 0;
+    let before = allocs();
+    for &n in LOADS.iter().cycle().take(WINDOW) {
+        replacements += usize::from(backend.step_slice(n).unwrap().migration.is_some());
+    }
+    let made = allocs() - before;
+    let growth = doublings(WARM, WARM + WINDOW) + doublings(migrations, migrations + replacements);
+    (made, replacements, growth)
+}
+
 #[test]
 fn steady_slices_allocate_nothing_but_record_growth() {
     for model in MODELS {
@@ -102,7 +130,7 @@ fn steady_slices_allocate_nothing_but_record_growth() {
         for _ in 0..1_000 {
             let outcome = backend.step_slice(4).unwrap();
             assert!(
-                outcome.replacement.is_none(),
+                outcome.migration.is_none(),
                 "{model}: constant load re-placed"
             );
         }
@@ -118,32 +146,31 @@ fn steady_slices_allocate_nothing_but_record_growth() {
 
 #[test]
 fn replacements_allocate_only_their_leg_plan() {
-    const LOADS: [u32; 10] = [1, 3, 3, 7, 2, 2, 10, 4, 1, 5];
-    const WARM: usize = 100;
-    const WINDOW: usize = 400;
     for model in MODELS {
         let mut backend = CycleBackend::new(Architecture::HhPim, model).unwrap();
         backend.begin_stream().unwrap();
-        let mut migrations = 0;
-        for &n in LOADS.iter().cycle().take(WARM) {
-            migrations += usize::from(backend.step_slice(n).unwrap().migration.is_some());
-        }
-        let mut replacements = 0;
-        let before = allocs();
-        for &n in LOADS.iter().cycle().take(WINDOW) {
-            let outcome = backend.step_slice(n).unwrap();
-            assert_eq!(outcome.replacement.is_some(), outcome.migration.is_some());
-            replacements += usize::from(outcome.replacement.is_some());
-        }
-        let made = allocs() - before;
-        let growth =
-            doublings(WARM, WARM + WINDOW) + doublings(migrations, migrations + replacements);
+        let (made, replacements, growth) = replacing_window(&mut backend);
         let allowed = replacements as u64 + growth;
         assert!(replacements > 0, "{model}: the load cycle never re-placed");
         assert!(
             made <= allowed,
             "{model}: {made} allocations for {replacements} re-placements \
              (at most {allowed} allowed)"
+        );
+    }
+}
+
+#[test]
+fn analytic_replacements_allocate_nothing_but_record_growth() {
+    for model in MODELS {
+        let mut backend = AnalyticBackend::new(Architecture::HhPim, model).unwrap();
+        backend.begin_stream().unwrap();
+        let (made, replacements, growth) = replacing_window(&mut backend);
+        assert!(replacements > 0, "{model}: the load cycle never re-placed");
+        assert!(
+            made <= growth,
+            "{model}: {made} allocations for {replacements} re-placements \
+             (at most {growth} allowed)"
         );
     }
 }
@@ -167,17 +194,16 @@ fn a_built_backend_holds_little_live_heap() {
 
 #[test]
 fn replacing_window_materializes_no_page() {
-    const LOADS: [u32; 10] = [1, 3, 3, 7, 2, 2, 10, 4, 1, 5];
     for model in MODELS {
         let mut backend = CycleBackend::new(Architecture::HhPim, model).unwrap();
         backend.begin_stream().unwrap();
-        for &n in LOADS.iter().cycle().take(100) {
+        for &n in LOADS.iter().cycle().take(WARM) {
             backend.step_slice(n).unwrap();
         }
         let warm = resident(&backend);
         let mut replacements = 0;
-        for &n in LOADS.iter().cycle().take(400) {
-            replacements += usize::from(backend.step_slice(n).unwrap().replacement.is_some());
+        for &n in LOADS.iter().cycle().take(WINDOW) {
+            replacements += usize::from(backend.step_slice(n).unwrap().migration.is_some());
         }
         assert!(replacements > 0, "{model}: the load cycle never re-placed");
         assert_eq!(

@@ -6,7 +6,7 @@
 
 use hhpim::engine::{Engine, EngineEvent, SubmitOutcome};
 use hhpim::session::SessionBuilder;
-use hhpim::{BackendKind, ExecutionBackend, ExecutionReport};
+use hhpim::{movement_legs, BackendKind, ExecutionBackend, ExecutionReport};
 use hhpim::{FixedHome, GreedyBaseline, LutAdaptive};
 use hhpim_nn::TinyMlModel;
 use hhpim_workload::{LoadTrace, Scenario, ScenarioParams};
@@ -196,50 +196,51 @@ fn dual_backend_engine_matches_dual_backend_session() {
 }
 
 /// A LUT-adaptive stream on a spiky trace must surface the engine's
-/// headline events: the replacement decision (with a non-empty leg
-/// plan), the migration realizing it, and idle accrual at low load.
+/// headline events on both backends: the replacement decision, whose
+/// leg plan is `movement_legs(from, to)`, the migration realizing it
+/// right after, and idle accrual at low load.
 #[test]
 fn replacement_events_carry_the_movement_plan() {
     let trace = LoadTrace::generate(Scenario::PeriodicSpike, params(6, 0));
-    let (report, events) = streamed(BackendKind::Analytic, "lut-adaptive", &trace);
-    let replacements: Vec<_> = events
-        .iter()
-        .filter_map(|e| match e {
-            EngineEvent::Replacement {
+    for kind in [BackendKind::Analytic, BackendKind::Cycle] {
+        let (report, events) = streamed(kind, "lut-adaptive", &trace);
+        let mut replacements = 0;
+        for (i, event) in events.iter().enumerate() {
+            let EngineEvent::Replacement {
                 slice,
                 from,
                 to,
                 legs,
                 ..
-            } => Some((*slice, *from, *to, legs.clone())),
-            _ => None,
-        })
-        .collect();
-    assert!(!replacements.is_empty(), "spiky load must re-place");
-    for (slice, from, to, legs) in &replacements {
-        assert_ne!(from, to);
-        assert!(!legs.is_empty());
-        let moved: usize = legs.iter().map(|l| l.groups).sum();
-        // The migration record for the same slice moves the same groups.
-        let migration = report
-            .migrations
-            .iter()
-            .find(|m| m.slice == *slice)
-            .expect("every replacement has its migration");
-        assert_eq!(moved, migration.groups);
+            } = event
+            else {
+                continue;
+            };
+            replacements += 1;
+            assert_ne!(from, to, "{kind}");
+            assert_eq!(*legs, movement_legs(from, to), "{kind}");
+            let Some(EngineEvent::Migration { record, .. }) = events.get(i + 1) else {
+                panic!("{kind}: replacement at slice {slice} not followed by its migration");
+            };
+            assert_eq!((record.slice, record.from, record.to), (*slice, *from, *to));
+            let moved: usize = legs.iter().map(|l| l.groups).sum();
+            assert_eq!(moved, record.groups, "{kind}");
+            assert!(report.migrations.contains(record), "{kind}");
+        }
+        assert!(replacements > 0, "{kind}: spiky load must re-place");
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, EngineEvent::IdleAccrued { .. })),
+            "{kind}: a mostly-idle trace must accrue idle time"
+        );
+        // The fixed home never replaces — its stream has no such events.
+        let (_, fixed_events) = streamed(kind, "fixed-home", &trace);
+        assert!(!fixed_events.iter().any(|e| matches!(
+            e,
+            EngineEvent::Replacement { .. } | EngineEvent::Migration { .. }
+        )));
     }
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, EngineEvent::IdleAccrued { .. })),
-        "a mostly-idle trace must accrue idle time"
-    );
-    // The fixed home never replaces — its stream has no such events.
-    let (_, fixed_events) = streamed(BackendKind::Analytic, "fixed-home", &trace);
-    assert!(!fixed_events.iter().any(|e| matches!(
-        e,
-        EngineEvent::Replacement { .. } | EngineEvent::Migration { .. }
-    )));
 }
 
 /// `Engine::pump` with a budget is just sugar over the manual
