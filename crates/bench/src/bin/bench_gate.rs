@@ -600,9 +600,9 @@ fn measure(samples: usize) -> Result<GateFile, String> {
     file.benches.insert(
         "paced_steady_state".into(),
         bench(samples, || {
-            let mut traffic = TrafficEngine::new(TrafficConfig::constant(3.0).with_seed(1));
-            let mut pacer = Pacer::new(std::time::Duration::from_nanos(1));
-            let report = run_paced(&mut paced_engine, &mut traffic, &mut pacer, 64).unwrap();
+            let traffic = TrafficEngine::new(TrafficConfig::constant(3.0).with_seed(1));
+            let mut pacer = Pacer::new(std::time::Duration::from_nanos(1)).unwrap();
+            let report = run_paced(&mut paced_engine, traffic.take(64), &mut pacer).unwrap();
             paced_engine.drain().unwrap();
             std::hint::black_box(report)
         }),

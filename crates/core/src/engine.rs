@@ -33,9 +33,9 @@
 //! ([`crate::Session::run`], `execute`) is now a loop over this API
 //! and stays bit-identical to the former monolithic runs.
 //!
-//! Traces no longer need a known length: [`StreamSource`] generates
-//! loads forever, and [`Engine::pump`] executes as many slices of it
-//! as the caller wants before coming back for more.
+//! Traces no longer need a known length: [`Engine::pump`] serves any
+//! iterator of loads, an endless one included, and a caller bounds it
+//! with `take`.
 //!
 //! # Examples
 //!
@@ -66,13 +66,13 @@
 //! Serve an unbounded load stream in batches of ten slices:
 //!
 //! ```
-//! use hhpim::engine::{Engine, StreamSource};
+//! use hhpim::engine::Engine;
 //! use hhpim::session::SessionBuilder;
 //!
 //! let mut engine = Engine::new(SessionBuilder::new().build_analytic().unwrap());
-//! let mut live = StreamSource::new(|slice| if slice % 7 == 0 { 0.9 } else { 0.2 });
-//! engine.pump(&mut live, Some(10)).unwrap();
-//! engine.pump(&mut live, Some(10)).unwrap(); // the stream has no end; keep going
+//! let mut live = (0..).map(|slice| if slice % 7 == 0 { 0.9 } else { 0.2 });
+//! engine.pump(live.by_ref().take(10)).unwrap();
+//! engine.pump(live.by_ref().take(10)).unwrap(); // the stream has no end; keep going
 //! assert_eq!(engine.slices_executed(), 20);
 //! ```
 
@@ -356,53 +356,6 @@ impl SliceOutcome {
     }
 }
 
-/// An unbounded load source: a closure sampled at an ever-advancing
-/// slice cursor. Unlike [`crate::TraceSource`], it never produces a
-/// finite trace — it demonstrates that the streaming engine does not
-/// need to know a workload's length up front. Feed it to
-/// [`Engine::pump`], or pull [`StreamSource::next_load`] yourself.
-pub struct StreamSource<F> {
-    f: F,
-    cursor: usize,
-}
-
-impl<F: FnMut(usize) -> f64> StreamSource<F> {
-    /// A source sampling `f(slice_index)` forever.
-    pub fn new(f: F) -> Self {
-        StreamSource { f, cursor: 0 }
-    }
-
-    /// The next slice index the source will sample.
-    pub fn position(&self) -> usize {
-        self.cursor
-    }
-
-    /// Samples the next load and advances the cursor.
-    pub fn next_load(&mut self) -> f64 {
-        let load = (self.f)(self.cursor);
-        self.cursor += 1;
-        load
-    }
-}
-
-impl<F> fmt::Debug for StreamSource<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamSource")
-            .field("cursor", &self.cursor)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<F: FnMut(usize) -> f64> Iterator for StreamSource<F> {
-    type Item = f64;
-
-    /// Never `None`: the stream is unbounded. Take what you need
-    /// (`by_ref().take(n)`) or use [`Engine::pump`].
-    fn next(&mut self) -> Option<f64> {
-        Some(self.next_load())
-    }
-}
-
 /// The streaming, event-driven execution engine. See the
 /// [module docs](self) for the API shape and examples.
 ///
@@ -682,69 +635,39 @@ impl Engine {
         Ok(reports)
     }
 
-    /// Feeds a complete [`LoadTrace`] into the queue — the adapter
-    /// that lets any [`crate::TraceSource`] drive the engine. Slices
-    /// beyond the queue capacity are executed on the fly
-    /// (backpressure is honored by stepping, not by growing the
-    /// queue); call [`Engine::drain`] for the reports.
+    /// Serves `loads` until the iterator ends: submits each load with
+    /// backpressure ([`Engine::submit_blocking`]), executes everything
+    /// queued and leaves the queue empty. Returns the number of loads
+    /// it pulled.
+    ///
+    /// An endless iterator is served until an error. To serve part of
+    /// one, pass `feed.by_ref().take(n)`: it pulls exactly `n` loads,
+    /// with no read-ahead, and the next pump continues where it
+    /// stopped. A live [`crate::TrafficEngine`] is such a feed:
+    ///
+    /// ```
+    /// use hhpim::session::SessionBuilder;
+    /// use hhpim::{Engine, TrafficConfig, TrafficEngine};
+    ///
+    /// let mut engine = Engine::new(SessionBuilder::new().build_analytic().unwrap());
+    /// let mut traffic = TrafficEngine::new(TrafficConfig::poisson(3.0));
+    /// let executed = engine.pump(traffic.by_ref().take(25)).unwrap();
+    /// assert_eq!(executed, 25);
+    /// assert_eq!(traffic.position(), 25);
+    /// ```
     ///
     /// # Errors
     ///
-    /// See [`Engine::step`] (trace loads are pre-validated, so
-    /// [`EngineError::InvalidLoad`] cannot occur here).
-    pub fn ingest(&mut self, trace: &LoadTrace) -> Result<(), EngineError> {
-        for &load in trace.loads() {
+    /// [`EngineError::InvalidLoad`] when a load is not a finite value
+    /// in `[0, 1]`; see [`Engine::step_n`] for backend failures.
+    pub fn pump(&mut self, loads: impl IntoIterator<Item = f64>) -> Result<usize, EngineError> {
+        let mut pulled = 0;
+        for load in loads {
             self.submit_blocking(load)?;
-        }
-        Ok(())
-    }
-
-    /// Serves an unbounded [`StreamSource`]: pulls loads, executes
-    /// them, and leaves the queue empty. `max_steps` makes the
-    /// unbounded-source semantics explicit at the call site:
-    ///
-    /// * `Some(n)` — pull and execute exactly `n` slices, then return
-    ///   `Ok(n)`. Call repeatedly to keep serving the stream.
-    /// * `None` — serve the source *forever*. The source never ends by
-    ///   construction, so this only returns on error; it is the
-    ///   run-loop form for callers whose process lifetime *is* the
-    ///   stream.
-    ///
-    /// ## Termination contract
-    ///
-    /// `pump(source, None)` **does not terminate** on success — an
-    /// unbounded [`StreamSource`] (a closure, or a live
-    /// [`crate::TrafficEngine`] via [`crate::stream`]) has no end, and
-    /// the engine will not invent one. The only ways out are an error
-    /// (`Err` poisons and returns) or an external budget: pass
-    /// `Some(n)` to stop after exactly `n` pulled-and-executed slices.
-    /// A budgeted pump is exact and lossless: it pulls exactly `n`
-    /// loads (the source's cursor advances by `n`, no read-ahead),
-    /// executes all of them before returning, and every per-slice
-    /// event is emitted — observers see all `n`, and with an event
-    /// buffer of capacity ≥ the emitted count,
-    /// [`Engine::events_dropped`] stays 0.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidLoad`] when the source produces a load
-    /// outside `[0, 1]`; see [`Engine::step`] for backend failures.
-    pub fn pump<F: FnMut(usize) -> f64>(
-        &mut self,
-        source: &mut StreamSource<F>,
-        max_steps: Option<usize>,
-    ) -> Result<usize, EngineError> {
-        let mut executed = 0usize;
-        loop {
-            if max_steps.is_some_and(|n| executed >= n) {
-                break;
-            }
-            let load = source.next_load();
-            self.submit_blocking(load)?;
-            executed += 1;
+            pulled += 1;
         }
         self.step_n(usize::MAX)?;
-        Ok(executed)
+        Ok(pulled)
     }
 
     /// Drains the pending event buffer as an iterator (events already
@@ -970,19 +893,10 @@ pub(crate) mod tests {
             },
         );
         let mut engine = analytic_engine().with_queue_capacity(3);
-        engine.ingest(&trace).unwrap();
+        assert_eq!(engine.pump(trace.loads().iter().copied()).unwrap(), 10);
+        assert_eq!(engine.pending(), 0);
         let reports = engine.drain().unwrap();
         assert_eq!(reports[0].records.len(), 10);
-    }
-
-    #[test]
-    fn stream_source_is_unbounded() {
-        let mut source = StreamSource::new(|i| (i % 2) as f64);
-        assert_eq!(source.position(), 0);
-        let first: Vec<f64> = source.by_ref().take(4).collect();
-        assert_eq!(first, vec![0.0, 1.0, 0.0, 1.0]);
-        assert_eq!(source.position(), 4);
-        assert_eq!(source.next_load(), 0.0, "the stream never ends");
     }
 
     /// An analytic backend that fails its first `begin_failures` stream
@@ -1121,13 +1035,13 @@ pub(crate) mod tests {
     #[test]
     fn pump_with_a_budget_executes_exactly_that_many() {
         let mut engine = analytic_engine();
-        let mut live = StreamSource::new(|i| if i % 2 == 0 { 0.9 } else { 0.2 });
-        assert_eq!(engine.pump(&mut live, Some(6)).unwrap(), 6);
+        let mut live = (0..).map(|i| f64::from(i % 10) / 10.0).peekable();
+        assert_eq!(engine.pump(live.by_ref().take(6)).unwrap(), 6);
         assert_eq!(engine.slices_executed(), 6);
         assert_eq!(engine.pending(), 0, "pump leaves the queue empty");
-        assert_eq!(live.position(), 6);
-        // A second budgeted pump continues from the source's position.
-        assert_eq!(engine.pump(&mut live, Some(4)).unwrap(), 4);
+        assert_eq!(live.peek(), Some(&0.6), "no read-ahead past the budget");
+        // A second budgeted pump continues where the first stopped.
+        assert_eq!(engine.pump(live.by_ref().take(4)).unwrap(), 4);
         assert_eq!(engine.slices_executed(), 10);
         let reports = engine.drain().unwrap();
         assert_eq!(reports[0].records.len(), 10);
@@ -1135,13 +1049,17 @@ pub(crate) mod tests {
 
     #[test]
     fn unbounded_pump_returns_only_on_error() {
-        // `pump(source, None)` serves forever; a failing backend is
-        // the only way out, and proves the loop was actually running.
+        // An endless feed is served forever; a failing backend is the
+        // only way out, and proves the loop was actually running.
         let mut engine = Engine::new(FailingBackend::new(7, 0));
-        let mut live = StreamSource::new(|_| 0.5);
-        let err = engine.pump(&mut live, None).unwrap_err();
+        let mut pulls = 0usize;
+        let live = std::iter::repeat_with(|| {
+            pulls += 1;
+            0.5
+        });
+        let err = engine.pump(live).unwrap_err();
         assert!(matches!(err, EngineError::Backend { .. }));
-        assert!(live.position() >= 7, "served until the backend failed");
+        assert!(pulls >= 7, "served until the backend failed");
     }
 
     #[test]

@@ -108,9 +108,7 @@ pub use compile::{
 };
 pub use cost::{CostModel, CostModelError, CostParams, WorkloadProfile};
 pub use dp::{AllocationLut, OptimalPlacement, OptimizerConfig, PlacementOptimizer};
-pub use engine::{
-    Engine, EngineError, EngineEvent, Observer, SliceOutcome, StreamSource, SubmitOutcome,
-};
+pub use engine::{Engine, EngineError, EngineEvent, Observer, SliceOutcome, SubmitOutcome};
 pub use error::{Error, Result};
 pub use experiment::{SavingsCell, SavingsMatrix};
 pub use policy::{default_policy, FixedHome, GreedyBaseline, LutAdaptive, PlacementPolicy};
@@ -121,14 +119,14 @@ pub use server::{
     TenantSnapshot, TenantSpec, TenantStats,
 };
 pub use session::{
-    ClosureSource, Comparison, ReplaySource, RunArtifacts, ScenarioSource, Session, SessionBuilder,
-    SessionError, TraceSource,
+    Comparison, ReplaySource, RunArtifacts, ScenarioSource, Session, SessionBuilder, SessionError,
+    TraceSource,
 };
 pub use space::{movement_legs, MovementLeg, Placement, StorageSpace};
 pub use store::{CacheStats, PlacementKey, PlacementStore};
 pub use timegraph::TimeGraph;
 pub use traffic::{
-    drive_closed_loop, record_slices, run_paced, serve_paced, stream, ArrivalProcess, BurstyOnOff,
+    drive_closed_loop, record_slices, run_paced, serve_paced, ArrivalProcess, BurstyOnOff,
     ClosedLoop, ClosedLoopConfig, ClosedLoopReport, ConstantRate, Diurnal, LoadDistribution,
     LoadFeedback, LoadReport, Pacer, Poisson, RecordedArrival, RecordedTrace, ReplayTraffic,
     TraceRecorder, TrafficConfig, TrafficEngine, TrafficError, TrafficSource, TRACE_FORMAT_VERSION,

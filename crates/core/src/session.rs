@@ -10,7 +10,7 @@
 //!        │                        ├────compare()─▶ Comparison
 //!        │                        └────sweep()───▶ SavingsMatrix
 //!        ├─ architecture / model           (Table I / Table IV)
-//!        ├─ trace source                   (TraceSource: scenario, replay, closure)
+//!        ├─ trace source                   (TraceSource: scenario, replay, traffic)
 //!        ├─ placement policy               (PlacementPolicy: LUT, fixed, greedy)
 //!        └─ backends                       (BackendKind: analytic, cycle)
 //! ```
@@ -250,46 +250,6 @@ impl TraceSource for ReplaySource {
     }
 }
 
-/// A [`TraceSource`] sampling a closure per slice index — the escape
-/// hatch for synthetic load shapes the [`Scenario`] enum does not
-/// cover.
-pub struct ClosureSource<F> {
-    slices: usize,
-    f: F,
-}
-
-impl<F: Fn(usize) -> f64> ClosureSource<F> {
-    /// A source producing `slices` samples of `f(slice_index)`.
-    pub fn new(slices: usize, f: F) -> Self {
-        ClosureSource { slices, f }
-    }
-}
-
-impl<F> fmt::Debug for ClosureSource<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClosureSource")
-            .field("slices", &self.slices)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<F: Fn(usize) -> f64> TraceSource for ClosureSource<F> {
-    fn label(&self) -> String {
-        format!("closure over {} slices", self.slices)
-    }
-
-    fn trace(&self) -> Result<LoadTrace, SessionError> {
-        // A zero-slice closure describes no run at all; reject it up
-        // front with the same typed error `LoadTrace::try_generate`
-        // returns for `slices == 0` instead of building a degenerate
-        // empty replay.
-        if self.slices == 0 {
-            return Err(SessionError::Trace(TraceError::Empty));
-        }
-        Ok(LoadTrace::replay((0..self.slices).map(&self.f).collect())?)
-    }
-}
-
 /// Builder for a [`Session`]; see the [module docs](self) for the
 /// composition surface and examples.
 ///
@@ -360,9 +320,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Sources traces by replaying recorded per-slice loads.
-    pub fn replay_loads(self, loads: Vec<f64>) -> Self {
-        self.trace_source(ReplaySource::new(loads))
+    /// Sources traces by replaying recorded per-slice loads, or any
+    /// finite iterator of them (`(0..n).map(f)` for a synthetic shape).
+    pub fn replay_loads(self, loads: impl IntoIterator<Item = f64>) -> Self {
+        self.trace_source(ReplaySource::new(loads.into_iter().collect()))
     }
 
     /// Selects the placement policy every backend consults (default:
@@ -1082,10 +1043,7 @@ mod tests {
     #[test]
     fn closure_source_feeds_the_run() {
         let mut session = SessionBuilder::new()
-            .trace_source(ClosureSource::new(
-                6,
-                |i| if i % 2 == 0 { 1.0 } else { 0.1 },
-            ))
+            .replay_loads((0..6).map(|i| if i % 2 == 0 { 1.0 } else { 0.1 }))
             .build()
             .unwrap();
         let artifacts = session.run().unwrap();

@@ -673,10 +673,8 @@ mod tests {
                 ..ScenarioParams::default()
             },
         );
-        ge.ingest(&trace).unwrap();
-        oe.ingest(&trace).unwrap();
-        while ge.step().unwrap().is_some() {}
-        while oe.step().unwrap().is_some() {}
+        ge.pump(trace.loads().iter().copied()).unwrap();
+        oe.pump(trace.loads().iter().copied()).unwrap();
         let g_events: Vec<_> = ge.events().collect();
         let o_events: Vec<_> = oe.events().collect();
         assert_eq!(g_events, o_events);

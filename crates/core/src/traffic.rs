@@ -7,8 +7,8 @@
 //! * [`TrafficSource`] — a [`TraceSource`] over a [`TrafficConfig`],
 //!   so sessions and server tenants can be fed synthetic traffic
 //!   (`SessionBuilder::trace_source`, `TenantSpec::new`).
-//! * [`stream`] — adapts a live [`TrafficEngine`] into the engine's
-//!   unbounded [`StreamSource`] for [`Engine::pump`].
+//! * [`TrafficEngine`] itself — an endless `Iterator` of loads, so a
+//!   live feed goes straight into [`Engine::pump`] or [`run_paced`].
 //! * [`record_slices`] — taps an [`Engine`] with a [`TraceRecorder`]
 //!   so *executed* slices (not just offered ones) can be captured and
 //!   replayed through [`ReplayTraffic`].
@@ -22,7 +22,7 @@
 //! the load sequence, so a paced run produces the same
 //! `ExecutionReport` as a free-running one over the same config.
 
-use crate::engine::{Engine, EngineError, EngineEvent, StreamSource};
+use crate::engine::{Engine, EngineError, EngineEvent};
 use crate::server::{ServeReport, Server, ServerError, ServerEvent};
 use crate::session::{SessionError, TraceSource};
 use hhpim_workload::LoadTrace;
@@ -71,22 +71,6 @@ impl TraceSource for TrafficSource {
     fn trace(&self) -> Result<LoadTrace, SessionError> {
         Ok(TrafficEngine::new(self.config.clone()).take_trace(self.slices)?)
     }
-}
-
-/// Adapts a live [`TrafficEngine`] into the streaming engine's
-/// unbounded [`StreamSource`], for [`Engine::pump`]:
-///
-/// ```
-/// use hhpim::session::SessionBuilder;
-/// use hhpim::{stream, Engine, TrafficConfig, TrafficEngine};
-///
-/// let mut engine = Engine::new(SessionBuilder::new().build_analytic().unwrap());
-/// let mut source = stream(TrafficEngine::new(TrafficConfig::poisson(3.0)));
-/// let executed = engine.pump(&mut source, Some(25)).unwrap();
-/// assert_eq!(executed, 25);
-/// ```
-pub fn stream(mut traffic: TrafficEngine) -> StreamSource<impl FnMut(usize) -> f64> {
-    StreamSource::new(move |_slice| traffic.next_load())
 }
 
 /// Taps `engine` with `recorder`: every completed slice on the
@@ -181,12 +165,13 @@ pub fn drive_closed_loop(
     })
 }
 
-/// Paces `slices` slices of `traffic` through `engine` against the
-/// wall clock: each round waits for the pacer's next boundary, pulls
-/// one slice's load, executes it, and records the slice's latency.
+/// Paces `loads` through `engine` against the wall clock, one slice
+/// per load: each round takes the next load, waits for the pacer's
+/// next boundary, executes the load, and records the slice's latency.
 /// Returns the pacer's [`LoadReport`] with offered load (what the
-/// traffic asked for) and achieved load (executed
-/// `n_tasks / max_tasks` on the primary backend) filled in.
+/// loads asked for) and achieved load (executed `n_tasks / max_tasks`
+/// on the primary backend) filled in. Bound an endless feed such as a
+/// [`TrafficEngine`] with `take`.
 ///
 /// Pacing never perturbs the load sequence — the report's
 /// `ExecutionReport` twin from a free-running run is bit-identical.
@@ -198,17 +183,16 @@ pub fn drive_closed_loop(
 /// See [`Engine::step`].
 pub fn run_paced(
     engine: &mut Engine,
-    traffic: &mut TrafficEngine,
+    loads: impl IntoIterator<Item = f64>,
     pacer: &mut Pacer,
-    slices: usize,
 ) -> Result<LoadReport, EngineError> {
     let primary = engine.backend_kinds().first().copied();
     let max_tasks = engine.max_tasks() as f64;
     let mut offered = 0.0;
     let mut achieved = 0.0;
-    for _ in 0..slices {
+    let mut slices = 0usize;
+    for load in loads {
         pacer.pace();
-        let load = traffic.next_load();
         offered += load;
         engine.submit_blocking(load)?;
         engine.step()?;
@@ -220,6 +204,7 @@ pub fn run_paced(
             }
         }
         pacer.complete();
+        slices += 1;
     }
     let denom = slices.max(1) as f64;
     Ok(pacer.finish(offered / denom, achieved / denom))
@@ -315,10 +300,10 @@ mod tests {
     #[test]
     fn stream_adapts_traffic_into_pump() {
         let mut engine = engine();
-        let mut source = stream(TrafficEngine::new(TrafficConfig::constant(2.0)));
-        let executed = engine.pump(&mut source, Some(12)).unwrap();
+        let mut traffic = TrafficEngine::new(TrafficConfig::constant(2.0));
+        let executed = engine.pump(traffic.by_ref().take(12)).unwrap();
         assert_eq!(executed, 12);
-        assert_eq!(source.position(), 12);
+        assert_eq!(traffic.position(), 12);
         let reports = engine.drain().unwrap();
         assert_eq!(reports[0].records.len(), 12);
     }
@@ -388,9 +373,9 @@ mod tests {
         let unpaced = free.drain().unwrap().remove(0);
 
         let mut paced = engine();
-        let mut pacer = Pacer::new(Duration::from_micros(100));
+        let mut pacer = Pacer::new(Duration::from_micros(100)).unwrap();
         let report =
-            run_paced(&mut paced, &mut TrafficEngine::new(config), &mut pacer, 20).unwrap();
+            run_paced(&mut paced, TrafficEngine::new(config).take(20), &mut pacer).unwrap();
         let paced_report = paced.drain().unwrap().remove(0);
         assert_eq!(unpaced, paced_report, "pacing never perturbs execution");
         assert_eq!(report.slices, 20);
@@ -416,7 +401,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let mut pacer = Pacer::new(Duration::from_micros(50));
+        let mut pacer = Pacer::new(Duration::from_micros(50)).unwrap();
         let (serve, load) = serve_paced(&mut server, &mut pacer).unwrap();
         assert_eq!(serve.tenants.len(), 2);
         assert_eq!(serve.total_executed(), 50);

@@ -13,6 +13,7 @@
 //! every later deadline — the run catches back up, and the slow slice
 //! alone shows up in the latency tail.
 
+use super::TrafficError;
 use core::fmt;
 use std::time::{Duration, Instant};
 
@@ -29,31 +30,41 @@ pub struct Pacer {
 impl Pacer {
     /// A pacer releasing one round every `interval`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero interval.
-    pub fn new(interval: Duration) -> Self {
-        assert!(!interval.is_zero(), "pacing interval must be non-zero");
-        Pacer {
+    /// [`TrafficError::InvalidPace`] when `interval` is zero, or so
+    /// long that `u32::MAX` of them overflow a `Duration` ([`Pacer::pace`]
+    /// schedules round `k` at `start + k·interval`).
+    pub fn new(interval: Duration) -> Result<Self, TrafficError> {
+        if interval.is_zero() || interval.checked_mul(u32::MAX).is_none() {
+            return Err(TrafficError::InvalidPace {
+                interval_secs: interval.as_secs_f64(),
+            });
+        }
+        Ok(Pacer {
             interval,
             start: None,
             inflight: None,
             latencies: Vec::new(),
             late: 0,
-        }
+        })
     }
 
     /// A pacer targeting `slices_per_sec` rounds per second.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless the rate is finite and positive.
-    pub fn from_rate(slices_per_sec: f64) -> Self {
-        assert!(
-            slices_per_sec.is_finite() && slices_per_sec > 0.0,
-            "slice rate {slices_per_sec} must be finite and positive"
-        );
-        Pacer::new(Duration::from_secs_f64(1.0 / slices_per_sec))
+    /// [`TrafficError::InvalidPace`] unless the rate is finite and
+    /// positive and its interval is one [`Pacer::new`] accepts: a rate
+    /// whose interval rounds to zero or does not fit a `Duration` is
+    /// rejected too.
+    pub fn from_rate(slices_per_sec: f64) -> Result<Self, TrafficError> {
+        let interval_secs = 1.0 / slices_per_sec;
+        let invalid = TrafficError::InvalidPace { interval_secs };
+        if !(slices_per_sec.is_finite() && slices_per_sec > 0.0) {
+            return Err(invalid);
+        }
+        Pacer::new(Duration::try_from_secs_f64(interval_secs).map_err(|_| invalid)?)
     }
 
     /// The configured per-round interval.
@@ -234,7 +245,7 @@ mod tests {
         // so the sustained rate cannot overshoot the target by much
         // (undershoot is unbounded on a loaded machine, so only the
         // overshoot side is asserted tightly).
-        let mut pacer = Pacer::from_rate(1000.0);
+        let mut pacer = Pacer::from_rate(1000.0).unwrap();
         for _ in 0..25 {
             pacer.pace();
             pacer.complete();
@@ -250,7 +261,7 @@ mod tests {
 
     #[test]
     fn latency_percentiles_are_ordered() {
-        let mut pacer = Pacer::new(Duration::from_micros(200));
+        let mut pacer = Pacer::new(Duration::from_micros(200)).unwrap();
         for i in 0..40 {
             pacer.pace();
             if i % 10 == 0 {
@@ -269,7 +280,7 @@ mod tests {
 
     #[test]
     fn empty_run_reports_zeros() {
-        let pacer = Pacer::from_rate(100.0);
+        let pacer = Pacer::from_rate(100.0).unwrap();
         let report = pacer.finish(0.0, 0.0);
         assert_eq!(report.slices, 0);
         assert_eq!(report.sustained_rate, 0.0);
@@ -279,7 +290,7 @@ mod tests {
 
     #[test]
     fn table_renders_every_row() {
-        let mut pacer = Pacer::from_rate(10_000.0);
+        let mut pacer = Pacer::from_rate(10_000.0).unwrap();
         pacer.pace();
         pacer.complete();
         let table = pacer.finish(0.5, 0.45).table();
@@ -298,12 +309,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "complete() without pace()")]
     fn complete_requires_pace() {
-        Pacer::from_rate(10.0).complete();
+        Pacer::from_rate(10.0).unwrap().complete();
     }
 
     #[test]
-    #[should_panic(expected = "finite and positive")]
     fn zero_rate_rejected() {
-        let _ = Pacer::from_rate(0.0);
+        assert!(matches!(
+            Pacer::from_rate(0.0),
+            Err(TrafficError::InvalidPace { interval_secs }) if interval_secs == f64::INFINITY
+        ));
+    }
+
+    #[test]
+    fn unschedulable_rates_and_intervals_are_typed_errors() {
+        let rejected = |pacer: Result<Pacer, TrafficError>| {
+            matches!(pacer, Err(TrafficError::InvalidPace { .. }))
+        };
+        // Not finite and positive; an interval that rounds to 0 ns
+        // (1e10/s); one past `Duration::MAX` (1e-30/s, MIN_POSITIVE);
+        // one `u32::MAX` ticks of which overflow (1e-15/s).
+        for rate in [
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e10,
+            1e-30,
+            f64::MIN_POSITIVE,
+            1e-15,
+        ] {
+            assert!(rejected(Pacer::from_rate(rate)), "rate {rate}");
+        }
+        let longest = Duration::MAX / u32::MAX;
+        for interval in [
+            Duration::ZERO,
+            longest + Duration::from_nanos(1),
+            Duration::MAX,
+        ] {
+            assert!(rejected(Pacer::new(interval)), "{interval:?}");
+        }
+        assert_eq!(Pacer::new(longest).unwrap().interval(), longest);
     }
 }

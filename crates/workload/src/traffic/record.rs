@@ -33,7 +33,9 @@ pub struct RecordedArrival {
     pub load: f64,
 }
 
-/// Why a recorded trace could not be built, saved, or loaded.
+/// Why a piece of the traffic subsystem could not be built: a
+/// recorded trace that could not be built, saved or loaded, or a
+/// [`Pacer`](super::Pacer) whose interval cannot be scheduled.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum TrafficError {
@@ -68,6 +70,12 @@ pub enum TrafficError {
         /// The OS error message.
         message: String,
     },
+    /// A pacer's rate is not finite and positive, or its interval is
+    /// zero or too long to schedule `u32::MAX` rounds of.
+    InvalidPace {
+        /// The requested interval in seconds (`1 / rate` for a rate).
+        interval_secs: f64,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -86,6 +94,12 @@ impl fmt::Display for TrafficError {
                 write!(f, "malformed recorded trace at byte {offset}: {message}")
             }
             TrafficError::Io { path, message } => write!(f, "{path}: {message}"),
+            TrafficError::InvalidPace { interval_secs } => write!(
+                f,
+                "pacing interval {interval_secs} s cannot be scheduled \
+                 (the rate must be finite and positive, the interval non-zero \
+                 and at most Duration::MAX / u32::MAX)"
+            ),
         }
     }
 }

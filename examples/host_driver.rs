@@ -3,7 +3,7 @@
 //! handing over a complete trace up front.
 //!
 //! This example plays the role of the paper's host processor under
-//! live traffic: an unbounded `StreamSource` stands in for the
+//! live traffic: an endless iterator of loads stands in for the
 //! camera/sensor feed (it has no known length — the engine never needs
 //! one), each slice is `submit`ted and `step`ped individually, a
 //! bounded queue backpressures the producer (`SubmitOutcome::Deferred`
@@ -21,7 +21,7 @@
 //! cargo run --release --example host_driver
 //! ```
 
-use hhpim::engine::{Engine, EngineEvent, StreamSource, SubmitOutcome};
+use hhpim::engine::{Engine, EngineEvent, SubmitOutcome};
 use hhpim::session::SessionBuilder;
 use hhpim::Architecture;
 use hhpim_nn::TinyMlModel;
@@ -61,13 +61,14 @@ fn main() {
     });
 
     // The "traffic": an unbounded stream of loads — a quiet feed that
-    // spikes every fifth slice. No length is ever declared.
-    let mut feed = StreamSource::new(|slice| if slice % 5 == 0 { 1.0 } else { 0.15 });
+    // spikes every fifth slice. No length is ever declared; `cursor`
+    // is the next slice index the feed will sample.
+    let load_at = |slice: usize| if slice.is_multiple_of(5) { 1.0 } else { 0.15 };
+    let mut cursor = 0..;
 
     println!("streaming 12 slices into the engine:");
     let mut deferred = 0u32;
-    for _ in 0..12 {
-        let load = feed.next_load();
+    for load in cursor.by_ref().take(12).map(load_at) {
         loop {
             match engine.submit(load).expect("loads are in [0, 1]") {
                 SubmitOutcome::Accepted => break,
@@ -108,11 +109,12 @@ fn main() {
     assert!(replacements > 0, "a spiky feed must trigger re-placement");
 
     // The engine resets after drain — keep serving the same feed.
-    engine.pump(&mut feed, Some(5)).expect("next batch serves");
+    engine
+        .pump(cursor.by_ref().take(5).map(load_at))
+        .expect("next batch serves");
     let more = engine.drain().expect("second stream drains");
     println!(
         "\nsecond batch of 5 slices (feed cursor now at {}): {}",
-        feed.position(),
-        more[0]
+        cursor.start, more[0]
     );
 }

@@ -68,7 +68,7 @@ fn main() {
         .expect("two tenants fit HH-PIM");
 
     // Pace scheduling rounds at 200/sec and measure what sticks.
-    let mut pacer = Pacer::from_rate(200.0);
+    let mut pacer = Pacer::from_rate(200.0).expect("200 rounds/s is schedulable");
     println!(
         "\npacing {:?} at {:.0} rounds/sec...",
         server.tenant_names(),

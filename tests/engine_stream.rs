@@ -149,7 +149,7 @@ fn dual_backend_engine_matches_dual_backend_session() {
         boxed_backend(BackendKind::Analytic, "lut-adaptive"),
         boxed_backend(BackendKind::Cycle, "lut-adaptive"),
     ]);
-    engine.ingest(&trace).unwrap();
+    engine.pump(trace.loads().iter().copied()).unwrap();
     let reports = engine.drain().unwrap();
 
     let mut session = SessionBuilder::new()
@@ -243,24 +243,24 @@ fn replacement_events_carry_the_movement_plan() {
     }
 }
 
-/// `Engine::pump` with a budget is just sugar over the manual
-/// submit/step loop: pumping `n` slices from a closure source produces
-/// the same report as ingesting the equivalent finite trace.
+/// `Engine::pump` over `take(n)` of an endless feed is just sugar over
+/// the manual submit loop: pumping the first `n` loads produces the
+/// same report as submitting the equivalent finite trace.
 #[test]
 fn budgeted_pump_matches_ingest() {
-    use hhpim::engine::StreamSource;
-
     let trace = LoadTrace::generate(Scenario::PeriodicSpike, params(6, 3));
-    let loads = trace.loads().to_vec();
+    let loads = trace.loads();
 
     let mut pumped = Engine::from_backends(vec![boxed_backend(BackendKind::Analytic, "greedy")]);
-    let mut live = StreamSource::new(|slice| loads[slice]);
-    let executed = pumped.pump(&mut live, Some(loads.len())).unwrap();
+    let mut live = loads.iter().copied().cycle();
+    let executed = pumped.pump(live.by_ref().take(loads.len())).unwrap();
     assert_eq!(executed, loads.len());
     let pumped_reports = pumped.drain().unwrap();
 
     let mut ingested = Engine::from_backends(vec![boxed_backend(BackendKind::Analytic, "greedy")]);
-    ingested.ingest(&trace).unwrap();
+    for &load in loads {
+        ingested.submit_blocking(load).unwrap();
+    }
     let ingested_reports = ingested.drain().unwrap();
 
     assert_reports_identical(&pumped_reports[0], &ingested_reports[0]);
@@ -283,8 +283,7 @@ fn observers_outlive_drain_and_drop_counter_resets() {
     });
 
     let trace = LoadTrace::generate(Scenario::PeriodicSpike, params(4, 7));
-    engine.ingest(&trace).unwrap();
-    while engine.step().unwrap().is_some() {}
+    engine.pump(trace.loads().iter().copied()).unwrap();
     let first_epoch = seen.load(Ordering::SeqCst);
     assert!(first_epoch > 0, "observer fires during the first epoch");
     assert!(
@@ -300,7 +299,7 @@ fn observers_outlive_drain_and_drop_counter_resets() {
     );
     assert_eq!(engine.observer_count(), 1, "observers survive drain");
 
-    engine.ingest(&trace).unwrap();
+    engine.pump(trace.loads().iter().copied()).unwrap();
     engine.drain().unwrap();
     assert!(
         seen.load(Ordering::SeqCst) > first_epoch,

@@ -208,13 +208,13 @@ fn three_policies_select_and_flow_through_both_backends() {
     assert_eq!(greedy_misses, 0, "greedy must stay schedulable");
 }
 
-/// Satellite: a `ClosureSource` with `slices == 0` is rejected with
-/// the same typed `TraceError` `LoadTrace::try_generate` returns,
-/// instead of building a degenerate empty trace.
+/// Zero replayed loads are rejected with the same typed `TraceError`
+/// `LoadTrace::try_generate` returns, instead of building a degenerate
+/// empty trace.
 #[test]
 fn zero_slice_closure_source_is_a_typed_trace_error() {
     let mut session = SessionBuilder::new()
-        .trace_source(hhpim::ClosureSource::new(0, |_| 0.5))
+        .replay_loads(Vec::new())
         .build()
         .unwrap();
     assert!(matches!(

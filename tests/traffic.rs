@@ -5,7 +5,7 @@
 
 use hhpim::session::SessionBuilder;
 use hhpim::{
-    record_slices, stream, ClosedLoop, Engine, EngineEvent, LoadDistribution, Pacer, RecordedTrace,
+    record_slices, ClosedLoop, Engine, EngineEvent, LoadDistribution, Pacer, RecordedTrace,
     ReplayTraffic, TraceRecorder, TrafficConfig, TrafficEngine, TrafficSource,
 };
 use proptest::prelude::*;
@@ -44,8 +44,7 @@ proptest! {
     fn same_seed_same_report(config in any_config()) {
         let run = |config: TrafficConfig| {
             let mut engine = engine();
-            let mut source = stream(TrafficEngine::new(config));
-            engine.pump(&mut source, Some(40)).unwrap();
+            engine.pump(TrafficEngine::new(config).take(40)).unwrap();
             engine.drain().unwrap().remove(0)
         };
         let a = run(config.clone());
@@ -123,8 +122,7 @@ fn record_replay_round_trip_with_time_warp() {
     let recorder = TraceRecorder::new();
     let mut live = engine();
     record_slices(&mut live, &recorder);
-    let mut source = stream(TrafficEngine::new(config));
-    live.pump(&mut source, Some(50)).unwrap();
+    live.pump(TrafficEngine::new(config).take(50)).unwrap();
     let original = live.drain().unwrap().remove(0);
 
     let trace = recorder.finish("executed capture").unwrap();
@@ -163,8 +161,7 @@ fn record_replay_round_trip_with_time_warp() {
     assert!(compressed.iter().all(|&l| (0.0..=1.0).contains(&l)));
 }
 
-/// Regression for the documented `Engine::pump` termination contract:
-/// a budgeted pump over a live `TrafficEngine` source stops at
+/// A pump over `take(BUDGET)` of a live `TrafficEngine` stops at
 /// exactly the budget, executes everything it pulled, and loses no
 /// events.
 #[test]
@@ -172,10 +169,10 @@ fn budgeted_pump_stops_exactly_at_budget_with_no_events_lost() {
     const BUDGET: usize = 64;
     let mut engine =
         Engine::new(SessionBuilder::new().build_analytic().unwrap()).with_event_capacity(4096);
-    let mut source = stream(TrafficEngine::new(TrafficConfig::poisson(4.0).with_seed(9)));
-    let executed = engine.pump(&mut source, Some(BUDGET)).unwrap();
+    let mut traffic = TrafficEngine::new(TrafficConfig::poisson(4.0).with_seed(9));
+    let executed = engine.pump(traffic.by_ref().take(BUDGET)).unwrap();
     assert_eq!(executed, BUDGET, "pump must stop exactly at the budget");
-    assert_eq!(source.position(), BUDGET, "no read-ahead past the budget");
+    assert_eq!(traffic.position(), BUDGET, "no read-ahead past the budget");
     assert_eq!(engine.pending(), 0, "everything pulled was executed");
     assert_eq!(engine.events_dropped(), 0, "no events lost");
     let completed = engine
@@ -195,7 +192,7 @@ fn paced_closed_loop_is_deterministic_in_loads() {
     let run = || {
         let mut eng = engine();
         let mut controller = ClosedLoop::default();
-        let mut pacer = Pacer::new(Duration::from_micros(50));
+        let mut pacer = Pacer::new(Duration::from_micros(50)).unwrap();
         let mut offered = Vec::new();
         for _ in 0..30 {
             pacer.pace();
