@@ -608,6 +608,49 @@ mod tests {
         }
     }
 
+    /// FNV-1a digest of a report's `Debug` form: it moves if any slice
+    /// or layer record, migration, ledger category or `f64` bit moves.
+    fn digest(report: &ExecutionReport) -> u64 {
+        format!("{report:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Pins every bit of a 12-slice cycle report on both execution
+    /// modes. The two modes share the module kernels, so the
+    /// equivalence tests above cannot see a kernel change; these
+    /// digests can. Baseline covers SRAM-only modules and Hybrid a
+    /// machine with one cluster.
+    #[test]
+    fn cycle_report_digests_are_pinned() {
+        let trace = LoadTrace::generate(
+            Scenario::PeriodicSpikeFrequent,
+            ScenarioParams {
+                slices: 12,
+                ..ScenarioParams::default()
+            },
+        );
+        use Architecture::{Baseline, HhPim, Hybrid};
+        use TinyMlModel::{EfficientNetB0, MobileNetV2, ResNet18};
+        let pinned = [
+            (HhPim, EfficientNetB0, 18286882550087260433),
+            (HhPim, MobileNetV2, 3494529202362167604),
+            (HhPim, ResNet18, 3281837271264717714),
+            (Baseline, MobileNetV2, 5082947092910960934),
+            (Hybrid, MobileNetV2, 5948332703580467304),
+        ];
+        for (arch, model, expected) in pinned {
+            for mode in [ExecMode::TimingGraph, ExecMode::ObjectWalk] {
+                let mut backend = CycleBackend::new(arch, model).unwrap();
+                backend.set_exec_mode(mode);
+                let report = backend.execute(&trace).unwrap();
+                assert_eq!(digest(&report), expected, "{arch:?} {model:?} {mode:?}");
+            }
+        }
+    }
+
     #[test]
     fn mid_stream_replacement_splices_match() {
         let policy: fn() -> Box<dyn PlacementPolicy> = || Box::new(LutAdaptive::new());

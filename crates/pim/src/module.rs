@@ -727,6 +727,7 @@ impl PimModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hhpim_sim::SimDuration;
 
     fn hp_module() -> PimModule {
         PimModule::new(ClusterClass::HighPerformance, ModuleConfig::default())
@@ -884,6 +885,59 @@ mod tests {
         assert!(total.as_pj() >= (mram_dyn + sram_dyn).as_pj());
     }
 
+    /// [`PimModule::mac_stream_resolved`] spelled out as the sequence
+    /// it first shipped with: time the whole stream with `burst_done`
+    /// and `stream_done`, then charge each bank through
+    /// `access_resolved` and the PE through `ProcessingElement::mac_stream`.
+    fn reference_stream(
+        m: &mut PimModule,
+        at: SimTime,
+        mem: MemSelect,
+        weights: &ResolvedAccess,
+        acts: &ResolvedAccess,
+        count: usize,
+    ) -> Result<SimTime, ModuleError> {
+        let at = at.max(m.free_at);
+        m.check_range(mem, 0, 1)?;
+        let words = count as u64;
+        let w_done = m.bank(mem).burst_done(at, weights, words);
+        let a_at = |w| if mem == MemSelect::Sram { w } else { at };
+        let a_done = w_done.and_then(|w| m.sram.burst_done(a_at(w), acts, words));
+        let end = w_done
+            .zip(a_done)
+            .and_then(|(w, a)| m.pe.stream_done(w.max(a), words));
+        if end.is_none() {
+            return Err(ModuleError::TimeOverflow);
+        }
+        let w_done = m
+            .bank_mut(mem)?
+            .access_resolved(at, weights, words)?
+            .done_at;
+        let a_done = m.sram.access_resolved(at, acts, words)?.done_at;
+        let done = m.pe.mac_stream(w_done.max(a_done), words).unwrap();
+        m.free_at = done;
+        Ok(done)
+    }
+
+    /// Streams `count` MACs on `reference` through [`reference_stream`]
+    /// and on `kernel` through the kernel, and asserts that both return
+    /// the same outcome and end in the same state, to the bit.
+    fn stream_both(
+        reference: &mut PimModule,
+        kernel: &mut PimModule,
+        at: SimTime,
+        mem: MemSelect,
+        count: usize,
+    ) -> Result<SimTime, ModuleError> {
+        let weights = kernel.bank(mem).resolve(AccessKind::Read);
+        let acts = kernel.bank(MemSelect::Sram).resolve(AccessKind::Read);
+        let want = reference_stream(reference, at, mem, &weights, &acts, count);
+        let got = kernel.mac_stream_resolved(at, mem, &weights, &acts, 0, count);
+        assert_eq!(got, want, "{mem:?} x{count} at {at}");
+        assert_eq!(format!("{reference:?}"), format!("{kernel:?}"));
+        got
+    }
+
     #[test]
     fn resolved_mac_paths_match_object_paths_bit_for_bit() {
         let mut a = hp_module();
@@ -903,26 +957,50 @@ mod tests {
             .unwrap();
         assert_eq!(d1, d2);
         assert_eq!(a.pe().accumulator(), b.pe().accumulator());
-        let s1 = a.mac_stream(d1, MemSelect::Mram, 0, 500).unwrap();
-        let s2 = b
-            .mac_stream_resolved(d2, MemSelect::Mram, &weights, &acts, 0, 500)
-            .unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(
-            a.total_energy().as_pj(),
-            b.total_energy().as_pj(),
-            "resolved replay must meter identically"
-        );
-        assert_eq!(a.pe().macs_retired(), b.pe().macs_retired());
-        // Gated banks reject resolved accesses identically.
-        for m in [&mut a, &mut b] {
-            m.set_gated(s1, MemSelect::Mram, true).unwrap();
+
+        // Streams: MRAM weights overlap the SRAM activations, SRAM
+        // weights share the activations' port, and gaps accrue leakage.
+        let mut at = d1;
+        for (gap_ns, mem, count) in [
+            (0, MemSelect::Mram, 500),
+            (0, MemSelect::Sram, 300),
+            (40, MemSelect::Mram, 0),
+            (0, MemSelect::Sram, 0),
+            (7, MemSelect::Sram, 41),
+            (0, MemSelect::Mram, 1),
+        ] {
+            let start = at + SimDuration::from_ns(gap_ns);
+            at = stream_both(&mut a, &mut b, start, mem, count).unwrap();
         }
-        assert_eq!(
-            a.mac_stream(s1, MemSelect::Mram, 0, 2).unwrap_err(),
-            b.mac_stream_resolved(s1, MemSelect::Mram, &weights, &acts, 0, 2)
-                .unwrap_err()
-        );
+        // A stream past the last SimTime changes nothing.
+        let untouched = format!("{b:?}");
+        let late = SimTime::from_ps(u64::MAX - 1_000);
+        for (start, count) in [(late, 1), (at, usize::MAX)] {
+            for mem in [MemSelect::Mram, MemSelect::Sram] {
+                let overflow = stream_both(&mut a, &mut b, start, mem, count);
+                assert_eq!(overflow, Err(ModuleError::TimeOverflow));
+            }
+        }
+        assert_eq!(format!("{b:?}"), untouched);
+        // A gated weight bank is charged nothing.
+        for m in [&mut a, &mut b] {
+            m.set_gated(at, MemSelect::Mram, true).unwrap();
+        }
+        let gated = Err(ModuleError::Bank(BankError::Gated));
+        let untouched = format!("{b:?}");
+        assert_eq!(stream_both(&mut a, &mut b, at, MemSelect::Mram, 2), gated);
+        assert_eq!(format!("{b:?}"), untouched);
+        // A gated SRAM bank fails after the MRAM weights are charged.
+        for m in [&mut a, &mut b] {
+            m.set_gated(at, MemSelect::Mram, false).unwrap();
+            m.free_bytes(MemSelect::Sram, 4).unwrap();
+            m.set_gated(at, MemSelect::Sram, true).unwrap();
+        }
+        let reads = b.bank(MemSelect::Mram).counters().0;
+        for mem in [MemSelect::Mram, MemSelect::Sram] {
+            assert_eq!(stream_both(&mut a, &mut b, at, mem, 3), gated);
+        }
+        assert_eq!(b.bank(MemSelect::Mram).counters().0, reads + 3);
     }
 
     #[test]
