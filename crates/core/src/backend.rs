@@ -1024,9 +1024,9 @@ impl CycleBackend {
     }
 
     /// Runs the slice's tasks over the timing graph: look up (or lower)
-    /// the current placement's node program, seed the time queue from
-    /// the machine's live completion state, then replay the arena once
-    /// per task.
+    /// the current placement's node program, seed the barrier horizon
+    /// from the machine's live completion state, then replay the arena
+    /// once per task.
     fn replay_tasks(&mut self, run: &mut CycleRun, n_tasks: u32) -> Result<(), BackendError> {
         let mut graph = std::mem::take(&mut self.graph);
         let result = (|| {

@@ -19,16 +19,18 @@
 //! [`hhpim_pim::PimMachine`] through arithmetically identical
 //! operations:
 //!
-//! * schedule streams run through
-//!   `PimModule::mac_stream_resolved` — the allocation-free twin of the
-//!   interpreted `PimMachine::mac_stream` path,
+//! * schedule streams run through `Cluster::mac_stream_resolved`, one
+//!   call per cluster that charges the issue and streams every selected
+//!   module through `PimModule::mac_stream_resolved` — the
+//!   allocation-free, single-pass twin of the interpreted
+//!   `PimMachine::mac_stream` path,
 //! * the bit-exact head folds its INT8 products straight out of bank
 //!   storage (`PimModule::mac_resolved` →
 //!   `ProcessingElement::mac_burst_prefolded`, bit-identical by i32
 //!   wrapping associativity),
-//! * barriers resynchronize against a flat [`hhpim_sim::TimeQueue`]
-//!   (one slot per module `free_at` plus one per cluster issue
-//!   pipeline) instead of re-scanning the module hierarchy,
+//! * barriers resynchronize against one barrier horizon, the latest
+//!   instant any module or issue pipeline has been booked to, instead
+//!   of re-scanning the module hierarchy,
 //! * per-layer accounting uses [`hhpim_pim::PimMachine::probe`], whose
 //!   total is bit-identical to `report().total_energy()` without
 //!   building a ledger.
@@ -59,8 +61,8 @@ use crate::engine::LayerAcc;
 use crate::space::Placement;
 use hhpim_isa::{MemSelect, ModuleMask};
 use hhpim_mem::{AccessKind, ClusterClass, MemKind, ResolvedAccess};
-use hhpim_pim::{MachineError, PimMachine};
-use hhpim_sim::{SimTime, TimeQueue};
+use hhpim_pim::{Cluster, MachineError, ModuleError, PimMachine};
+use hhpim_sim::SimTime;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -78,9 +80,9 @@ enum NodeOp {
     HeadClear,
     /// One head wave's bit-exact INT8 MAC burst.
     HeadMac,
-    /// Clock resynchronization: the machine's `now` joins the time
-    /// queue's maximum (both the head's per-wave barrier and the
-    /// per-layer barrier lower to this).
+    /// Clock resynchronization: the machine's `now` joins the barrier
+    /// horizon (both the head's per-wave barrier and the per-layer
+    /// barrier lower to this).
     Barrier,
 }
 
@@ -183,16 +185,16 @@ struct NodeProgram {
 
 /// The cycle backend's flat timing graph: cached lowered programs (one
 /// per placement seen), the shared resolved-coefficient table, and the
-/// indexed time queue barriers resynchronize against. See the
-/// [module docs](self) for the design and equivalence contract.
+/// barrier horizon. See the [module docs](self) for the design and
+/// equivalence contract.
 #[derive(Debug, Default)]
 pub struct TimeGraph {
     programs: Vec<NodeProgram>,
     by_placement: HashMap<Placement, usize>,
     table: Option<ResolvedTable>,
-    queue: TimeQueue,
-    hp_modules: usize,
-    module_count: usize,
+    /// The latest instant any module or cluster issue pipeline is
+    /// booked to: where the next barrier moves the machine's clock.
+    horizon: SimTime,
 }
 
 impl TimeGraph {
@@ -211,9 +213,9 @@ impl TimeGraph {
         self.programs.iter().map(|p| p.nodes.len()).sum()
     }
 
-    /// Drops every cached program (coefficients and queue geometry
-    /// survive); the next replay lowers afresh. Exists so builds can be
-    /// measured in isolation.
+    /// Drops every cached program and the coefficient table; the next
+    /// replay lowers afresh. Exists so builds can be measured in
+    /// isolation.
     pub fn clear(&mut self) {
         self.programs.clear();
         self.by_placement.clear();
@@ -337,33 +339,17 @@ impl TimeGraph {
         idx
     }
 
-    /// (Re)seeds the time queue from the machine's live completion
-    /// state: one slot per module `free_at`, plus one per cluster issue
-    /// pipeline. Call once per slice, after any migration traffic and
-    /// before the task loop — replay keeps the queue in lockstep from
-    /// then on.
+    /// (Re)seeds the barrier horizon from the machine's live completion
+    /// state: the latest module `free_at` or cluster issue pipeline.
+    /// Call once per slice, after any migration traffic and before the
+    /// task loop; replay raises the horizon with every dispatch and
+    /// completion from then on.
     pub(crate) fn seed(&mut self, machine: &PimMachine) {
-        let module_count = machine.module_count();
-        if self.queue.len() != module_count + 2 {
-            self.queue = TimeQueue::new(module_count + 2);
-            self.hp_modules = machine.config().hp_modules;
-            self.module_count = module_count;
-        }
-        for g in 0..module_count {
-            self.queue.seed(g, machine.module(g).free_at());
-        }
-        for (slot, class) in [
-            (module_count, ClusterClass::HighPerformance),
-            (module_count + 1, ClusterClass::LowPower),
-        ] {
-            self.queue.seed(
-                slot,
-                machine
-                    .cluster(class)
-                    .map(|c| c.issue_free_at())
-                    .unwrap_or(SimTime::ZERO),
-            );
-        }
+        self.horizon = [ClusterClass::HighPerformance, ClusterClass::LowPower]
+            .into_iter()
+            .filter_map(|class| machine.cluster(class))
+            .map(Cluster::all_free_at)
+            .fold(SimTime::ZERO, SimTime::max);
     }
 
     /// Replays one task's lowered program on `machine`, accumulating
@@ -384,21 +370,14 @@ impl TimeGraph {
     ) -> Result<(), BackendError> {
         let table = self.table.expect("ensure_program ran before replay");
         let prog = &self.programs[program];
-        let queue = &mut self.queue;
+        let hp_modules = machine.config().hp_modules;
         let mut probe = machine.probe();
         for (i, span) in prog.layer_spans.iter().enumerate() {
             let t0 = machine.now();
             for node in &prog.nodes[span.clone()] {
                 match node.op {
                     NodeOp::Stream | NodeOp::HeadClear | NodeOp::HeadMac => {
-                        dispatch(
-                            machine,
-                            queue,
-                            &table,
-                            node,
-                            self.hp_modules,
-                            self.module_count,
-                        )?;
+                        dispatch(machine, &mut self.horizon, &table, node, hp_modules)?;
                     }
                     NodeOp::HeadActs => {
                         for &g in &prog.head_modules {
@@ -409,7 +388,7 @@ impl TimeGraph {
                     }
                     NodeOp::Barrier => {
                         machine.note_instruction();
-                        machine.idle_until(queue.max());
+                        machine.idle_until(self.horizon);
                     }
                 }
             }
@@ -425,34 +404,22 @@ impl TimeGraph {
 
 /// Issues one dispatching node: per selected cluster (HP first, then
 /// LP, both launched at the same `now` — the interpreter's
-/// `run_on_clusters` order), charge controller issue, then drive every
-/// selected module in ascending local index. Completion instants feed
-/// the time queue so the next barrier is an `O(1)` lookup.
+/// `run_on_clusters` order), one call into the cluster charges
+/// controller issue and drives every selected module in ascending local
+/// index. The latest dispatch or completion raises `horizon`, so the
+/// next barrier is an `O(1)` lookup.
 fn dispatch(
     machine: &mut PimMachine,
-    queue: &mut TimeQueue,
+    horizon: &mut SimTime,
     table: &ResolvedTable,
     node: &Node,
     hp_modules: usize,
-    module_count: usize,
 ) -> Result<(), BackendError> {
     machine.note_instruction();
     let now = machine.now();
-    for (class, bits, offset, cluster_len, issue_slot) in [
-        (
-            ClusterClass::HighPerformance,
-            node.hp_bits,
-            0usize,
-            hp_modules,
-            module_count,
-        ),
-        (
-            ClusterClass::LowPower,
-            node.lp_bits,
-            hp_modules,
-            module_count - hp_modules,
-            module_count + 1,
-        ),
+    for (class, bits, offset) in [
+        (ClusterClass::HighPerformance, node.hp_bits, 0),
+        (ClusterClass::LowPower, node.lp_bits, hp_modules),
     ] {
         if bits == 0 {
             continue;
@@ -460,68 +427,31 @@ fn dispatch(
         let cluster = machine
             .cluster_mut(class)
             .expect("lowered from live geometry");
-        let dispatched = cluster.issue(now, bits.count_ones() as usize);
-        queue.raise(issue_slot, dispatched);
-        match node.op {
-            NodeOp::HeadClear => {
-                for idx in 0..cluster_len.min(8) {
-                    if (bits >> idx) & 1 == 1 {
-                        cluster.module_mut(idx).clear_acc();
-                    }
-                }
-            }
-            NodeOp::Stream => {
-                let weights = table.read(class, node.mem);
-                let acts = table.read(class, MemSelect::Sram);
-                for idx in 0..cluster_len.min(8) {
-                    if (bits >> idx) & 1 == 1 {
-                        let done = cluster
-                            .module_mut(idx)
-                            .mac_stream_resolved(
-                                dispatched,
-                                node.mem,
-                                &weights,
-                                &acts,
-                                node.addr as usize,
-                                node.count as usize,
-                            )
-                            .map_err(|error| {
-                                BackendError::Machine(MachineError::Module {
-                                    module: offset + idx,
-                                    error,
-                                })
-                            })?;
-                        queue.raise(offset + idx, done);
-                    }
-                }
-            }
-            NodeOp::HeadMac => {
-                let weights = table.read(class, node.mem);
-                let acts = table.read(class, MemSelect::Sram);
-                for idx in 0..cluster_len.min(8) {
-                    if (bits >> idx) & 1 == 1 {
-                        let done = cluster
-                            .module_mut(idx)
-                            .mac_resolved(
-                                dispatched,
-                                node.mem,
-                                &weights,
-                                &acts,
-                                node.addr as usize,
-                                node.count as usize,
-                            )
-                            .map_err(|error| {
-                                BackendError::Compile(CompileError::Machine(MachineError::Module {
-                                    module: offset + idx,
-                                    error,
-                                }))
-                            })?;
-                        queue.raise(offset + idx, done);
-                    }
-                }
-            }
+        let module = |(idx, error): (usize, ModuleError)| MachineError::Module {
+            module: offset + idx,
+            error,
+        };
+        let weights = table.read(class, node.mem);
+        let acts = table.read(class, MemSelect::Sram);
+        let (addr, count) = (node.addr as usize, node.count as usize);
+        let done = match node.op {
+            NodeOp::Stream => cluster
+                .mac_stream_resolved(now, bits, node.mem, &weights, &acts, addr, count)
+                .map_err(|e| BackendError::Machine(module(e)))?,
+            NodeOp::HeadClear => cluster
+                .for_selected(now, bits, |m, at| {
+                    m.clear_acc();
+                    Ok(at)
+                })
+                .map_err(|e| BackendError::Compile(CompileError::Machine(module(e))))?,
+            NodeOp::HeadMac => cluster
+                .for_selected(now, bits, |m, at| {
+                    m.mac_resolved(at, node.mem, &weights, &acts, addr, count)
+                })
+                .map_err(|e| BackendError::Compile(CompileError::Machine(module(e))))?,
             NodeOp::HeadActs | NodeOp::Barrier => unreachable!("non-dispatching op"),
-        }
+        };
+        *horizon = (*horizon).max(done);
     }
     Ok(())
 }

@@ -333,6 +333,12 @@ impl MemoryBank {
         }
     }
 
+    /// The instant the bank's port is free for the next burst.
+    #[inline]
+    pub fn port_free_at(&self) -> SimTime {
+        self.port.free_at()
+    }
+
     /// The instant a burst of `words` issued at `at` would complete on
     /// the bank's port, or `None` when its service time or completion
     /// instant does not fit in [`SimTime`]. Changes nothing.
@@ -370,8 +376,36 @@ impl MemoryBank {
         if self.burst_done(at, resolved, words).is_none() {
             return Err(BankError::TimeOverflow);
         }
+        self.commit(at, resolved, words, resolved.latency * words)
+    }
+
+    /// Charges a burst whose `service` time the caller has already
+    /// computed and checked, so a kernel that times several bursts up
+    /// front pays for each multiplication once: the same gating check,
+    /// accrual to `at`, port serialization, `energy_per_word × words`
+    /// and counters as [`MemoryBank::access_resolved`].
+    ///
+    /// `service` must be `resolved.latency × words`, and the burst must
+    /// end within [`SimTime`] ([`MemoryBank::burst_done`] is `Some`);
+    /// otherwise the completion instant is wrong or overflows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BankError::Gated`], with the bank unchanged, if the
+    /// bank is gated.
+    #[inline]
+    pub fn commit(
+        &mut self,
+        at: SimTime,
+        resolved: &ResolvedAccess,
+        words: u64,
+        service: SimDuration,
+    ) -> Result<Access, BankError> {
+        if self.state == GateState::Gated {
+            return Err(BankError::Gated);
+        }
         self.advance_to(at);
-        let done_at = self.port.acquire(at, resolved.latency * words);
+        let done_at = self.port.acquire(at, service);
         let energy = resolved.energy_per_word * words;
         self.dynamic_energy += energy;
         match resolved.kind {

@@ -12,7 +12,7 @@
 
 use crate::module::{ModuleConfig, ModuleError, PimModule};
 use hhpim_isa::MemSelect;
-use hhpim_mem::{ClusterClass, Energy, Power};
+use hhpim_mem::{ClusterClass, Energy, Power, ResolvedAccess};
 use hhpim_sim::{BusyResource, Clock, Frequency, SimDuration, SimTime};
 
 /// Controller timing/power parameters.
@@ -160,12 +160,6 @@ impl Cluster {
         self.ctrl_static
     }
 
-    /// Instant when the issue pipeline alone is free — one slot of a
-    /// lowered replay's time queue (modules provide the others).
-    pub fn issue_free_at(&self) -> SimTime {
-        self.issue.free_at()
-    }
-
     /// Instant when every module (and the issue pipeline) is idle.
     pub fn all_free_at(&self) -> SimTime {
         self.modules
@@ -190,6 +184,7 @@ impl Cluster {
 
     /// Charges controller issue overhead for an instruction targeting
     /// `selected` modules; returns the instant dispatch completes.
+    #[inline]
     pub fn issue(&mut self, at: SimTime, selected: usize) -> SimTime {
         let cycles =
             self.cfg.fetch_decode_cycles + self.cfg.dispatch_cycles_per_module * selected as u64;
@@ -226,6 +221,43 @@ impl Cluster {
         for idx in 0..self.modules.len().min(8) {
             if (mask >> idx) & 1 == 1 {
                 let done = op(&mut self.modules[idx], dispatched).map_err(|e| (idx, e))?;
+                latest = latest.max(done);
+            }
+        }
+        Ok(latest)
+    }
+
+    /// The timing-graph replay kernel for one compiled schedule split:
+    /// charges the issue of one instruction selecting the modules of the
+    /// local `mask`, then streams `count` MACs on each of them, in
+    /// ascending local index, from the dispatch instant
+    /// ([`PimModule::mac_stream_resolved`]). Returns the latest of the
+    /// dispatch instant and every module's completion, which is all a
+    /// barrier needs. One call per cluster replaces one call per module,
+    /// and the stream loop stays inside this crate.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first module error with its local index; the modules
+    /// before it have streamed.
+    #[allow(clippy::too_many_arguments)]
+    pub fn mac_stream_resolved(
+        &mut self,
+        at: SimTime,
+        mask: u8,
+        mem: MemSelect,
+        weights: &ResolvedAccess,
+        acts: &ResolvedAccess,
+        addr: usize,
+        count: usize,
+    ) -> Result<SimTime, (usize, ModuleError)> {
+        let dispatched = self.issue(at, mask.count_ones() as usize);
+        let mut latest = dispatched;
+        for (idx, module) in self.modules.iter_mut().enumerate().take(8) {
+            if (mask >> idx) & 1 == 1 {
+                let done = module
+                    .mac_stream_resolved(dispatched, mem, weights, acts, addr, count)
+                    .map_err(|e| (idx, e))?;
                 latest = latest.max(done);
             }
         }

@@ -494,12 +494,18 @@ impl PimModule {
     /// timing-graph replay primitive for compiled schedules. Identical
     /// metering, gating checks and range errors; no technology lookups.
     ///
+    /// The stream is timed in one pass: each burst's service time is
+    /// multiplied once, checked, and then charged through
+    /// [`MemoryBank::commit`] and the PE.
+    ///
     /// # Errors
     ///
-    /// Propagates bank errors (gated banks) and range errors on `addr`.
-    /// Returns [`ModuleError::TimeOverflow`] when a burst or the stream
-    /// would end past the last [`SimTime`]; the module is then left
-    /// exactly as it was.
+    /// In this order: a range error on `addr`;
+    /// [`ModuleError::TimeOverflow`] when a burst or the stream would
+    /// end past the last [`SimTime`], with the module left exactly as it
+    /// was; a gated weight bank, with nothing charged; a gated SRAM
+    /// bank, with the weight burst already charged.
+    #[inline]
     pub fn mac_stream_resolved(
         &mut self,
         at: SimTime,
@@ -516,24 +522,26 @@ impl PimModule {
         // overflow late in the chain leaves no burst half-charged. With
         // SRAM weights both bursts share one port, so the activations
         // queue behind the weights.
-        let stream_end = (|| {
-            let w_done = self.bank(mem).burst_done(at, weights, words)?;
+        let timed = (|| {
+            let w_service = weights.latency.checked_mul(words)?;
+            let w_done = self
+                .bank(mem)
+                .port_free_at()
+                .max(at)
+                .checked_add(w_service)?;
+            let a_service = acts.latency.checked_mul(words)?;
             let a_at = if mem == MemSelect::Sram { w_done } else { at };
-            let a_done = self.sram.burst_done(a_at, acts, words)?;
-            self.pe.stream_done(w_done.max(a_done), words)
+            let a_done = self.sram.port_free_at().max(a_at).checked_add(a_service)?;
+            let ready = w_done.max(a_done);
+            let pe_latency = self.pe.tech().mac_latency.checked_mul(words)?;
+            let done = self.pe.free_at().max(ready).checked_add(pe_latency)?;
+            Some((w_service, a_service, ready, pe_latency, done))
         })();
-        if stream_end.is_none() {
-            return Err(ModuleError::TimeOverflow);
-        }
-        let w_done = self
-            .bank_mut(mem)?
-            .access_resolved(at, weights, words)?
-            .done_at;
-        let a_done = self.sram.access_resolved(at, acts, words)?.done_at;
-        let done = self
-            .pe
-            .mac_stream(w_done.max(a_done), words)
-            .ok_or(ModuleError::TimeOverflow)?;
+        let (w_service, a_service, ready, pe_latency, done) =
+            timed.ok_or(ModuleError::TimeOverflow)?;
+        self.bank_mut(mem)?.commit(at, weights, words, w_service)?;
+        self.sram.commit(at, acts, words, a_service)?;
+        self.pe.retire(ready, words, pe_latency);
         self.free_at = done;
         Ok(done)
     }

@@ -8,7 +8,7 @@
 //! (latency and power from Tables III and V).
 
 use hhpim_mem::{Energy, PeTech, Power};
-use hhpim_sim::{BusyResource, SimTime};
+use hhpim_sim::{BusyResource, SimDuration, SimTime};
 
 /// An INT8 MAC processing element with a 32-bit accumulator.
 ///
@@ -96,6 +96,7 @@ impl ProcessingElement {
 
     /// Advances leakage accrual to `now` (monotonic; earlier times are
     /// ignored).
+    #[inline]
     pub fn advance_to(&mut self, now: SimTime) {
         if now <= self.last_accrual {
             return;
@@ -131,7 +132,8 @@ impl ProcessingElement {
     ///
     /// Panics if the PE is powered off.
     pub fn mac_burst(&mut self, at: SimTime, operands: &[(i8, i8)]) -> SimTime {
-        let done = self.retire(at, operands.len() as u64);
+        let count = operands.len() as u64;
+        let done = self.retire(at, count, self.tech.mac_latency * count);
         for &(w, a) in operands {
             self.acc = self.acc.wrapping_add((w as i32) * (a as i32));
         }
@@ -151,7 +153,7 @@ impl ProcessingElement {
     ///
     /// Panics if the PE is powered off.
     pub fn mac_burst_prefolded(&mut self, at: SimTime, delta: i32, count: u64) -> SimTime {
-        let done = self.retire(at, count);
+        let done = self.retire(at, count, self.tech.mac_latency * count);
         self.acc = self.acc.wrapping_add(delta);
         done
     }
@@ -178,17 +180,26 @@ impl ProcessingElement {
     /// Panics if the PE is powered off.
     pub fn mac_stream(&mut self, at: SimTime, count: u64) -> Option<SimTime> {
         self.stream_done(at, count)?;
-        Some(self.retire(at, count))
+        Some(self.retire(at, count, self.tech.mac_latency * count))
     }
 
-    /// Meters `count` MACs issued at `at` and returns their completion
-    /// instant; panics if the PE is powered off.
-    fn retire(&mut self, at: SimTime, count: u64) -> SimTime {
+    /// The instant the PE is free for the next burst.
+    #[inline]
+    pub(crate) fn free_at(&self) -> SimTime {
+        self.unit.free_at()
+    }
+
+    /// Meters `count` MACs issued at `at` that occupy the PE for
+    /// `latency` (`mac_latency × count`, computed by the caller) and
+    /// returns their completion instant; panics if the PE is powered
+    /// off.
+    #[inline]
+    pub(crate) fn retire(&mut self, at: SimTime, count: u64, latency: SimDuration) -> SimTime {
         assert!(self.powered, "MAC issued to a powered-off PE");
         self.advance_to(at);
         self.macs += count;
         self.dynamic_energy += self.mac_energy * count;
-        self.unit.acquire(at, self.tech.mac_latency * count)
+        self.unit.acquire(at, latency)
     }
 }
 
@@ -196,7 +207,6 @@ impl ProcessingElement {
 mod tests {
     use super::*;
     use hhpim_mem::{hp_pe, lp_pe};
-    use hhpim_sim::SimDuration;
 
     #[test]
     fn functional_mac() {

@@ -12,9 +12,6 @@
 //!   integer time keeping and clock-domain conversion ([`time`]).
 //! * [`BusyResource`] — the busy-until model of a port, PE or bus
 //!   ([`resource`]).
-//! * [`TimeQueue`] — indexed, monotone per-slot completion instants
-//!   with an `O(1)` running maximum for flat timing-graph replay
-//!   ([`timeq`]).
 //!
 //! # Examples
 //!
@@ -36,8 +33,6 @@
 
 pub mod resource;
 pub mod time;
-pub mod timeq;
 
 pub use resource::BusyResource;
 pub use time::{Clock, Frequency, SimDuration, SimTime};
-pub use timeq::TimeQueue;
