@@ -146,8 +146,10 @@ impl CostModel {
     /// # Errors
     ///
     /// Fails if the weights cannot fit in the architecture's placeable
-    /// memory, the group size or `max_tasks_per_slice` is zero, or
-    /// `time_scale` is not finite and positive.
+    /// memory, the group size or `max_tasks_per_slice` is zero,
+    /// `time_scale` is not finite and positive, or
+    /// `act_reserve_per_module` times a cluster's module count
+    /// overflows `usize`.
     pub fn new(
         arch: ArchSpec,
         profile: WorkloadProfile,
@@ -186,7 +188,12 @@ impl CostModel {
                 continue;
             }
             let reserve = if space.kind() == MemKind::Sram {
-                params.act_reserve_per_module * modules
+                params.act_reserve_per_module.checked_mul(modules).ok_or(
+                    CostModelError::InvalidParameter {
+                        field: "act_reserve_per_module",
+                        requirement: "at most `usize::MAX` divided by a cluster's module count",
+                    },
+                )?
             } else {
                 0
             };
@@ -576,5 +583,40 @@ mod tests {
         assert!(!m.is_valid(&p));
         let short = Placement::all_in(StorageSpace::LpMram, 1);
         assert!(!m.is_valid(&short));
+    }
+
+    #[test]
+    fn activation_reserve_past_usize_is_a_typed_error() {
+        let params = CostParams {
+            act_reserve_per_module: usize::MAX,
+            ..CostParams::default()
+        };
+        let err = CostModel::new(
+            Architecture::HhPim.spec(),
+            WorkloadProfile::from_spec(&TinyMlModel::EfficientNetB0.spec()),
+            params,
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            CostModelError::InvalidParameter {
+                field: "act_reserve_per_module",
+                ..
+            }
+        ));
+        // The largest reserve a 4-module cluster can hold still builds:
+        // it reserves every SRAM byte and leaves the weights to MRAM.
+        let params = CostParams {
+            act_reserve_per_module: usize::MAX / 4,
+            ..CostParams::default()
+        };
+        let m = CostModel::new(
+            Architecture::HhPim.spec(),
+            WorkloadProfile::from_spec(&TinyMlModel::EfficientNetB0.spec()),
+            params,
+        )
+        .unwrap();
+        assert_eq!(m.capacity_groups(StorageSpace::HpSram), 0);
+        assert_eq!(m.capacity_groups(StorageSpace::LpSram), 0);
     }
 }

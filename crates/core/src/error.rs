@@ -3,6 +3,7 @@
 //! Five PRs of growth left each layer with its own error type —
 //! [`CostModelError`] from the cost model, [`BackendError`] from
 //! execution, [`TraceError`] from workload generation,
+//! [`TrafficError`] from load generation, record/replay and pacing,
 //! [`SessionError`] from the batch facade, [`EngineError`] from the
 //! streaming engine and [`ServerError`] from the multi-tenant server.
 //! Those stay public (library code matching a *specific* layer should
@@ -25,6 +26,30 @@
 //! }
 //! assert_eq!(serve().unwrap(), 50);
 //! ```
+//!
+//! Load-generation failures take the same `?`:
+//!
+//! ```
+//! use hhpim::{Error, Pacer, RecordedTrace, Result, TrafficError};
+//!
+//! /// A pacer at `rate` slices per second and a recorded trace's
+//! /// arrival count.
+//! fn paced_replay(rate: f64, json: &str) -> Result<(Pacer, usize)> {
+//!     let pacer = Pacer::from_rate(rate)?;
+//!     let trace = RecordedTrace::from_json(json)?;
+//!     Ok((pacer, trace.arrivals().len()))
+//! }
+//! let json = r#"{"version": 1, "label": "two", "arrivals": [[0.0, 0.5], [1.0, 0.25]]}"#;
+//! assert_eq!(paced_replay(200.0, json).unwrap().1, 2);
+//! assert!(matches!(
+//!     paced_replay(0.0, json),
+//!     Err(Error::Traffic(TrafficError::InvalidPace { .. }))
+//! ));
+//! assert!(matches!(
+//!     paced_replay(200.0, "{}"),
+//!     Err(Error::Traffic(TrafficError::Parse { .. }))
+//! ));
+//! ```
 
 use crate::artifact::ArtifactError;
 use crate::backend::BackendError;
@@ -32,7 +57,7 @@ use crate::cost::CostModelError;
 use crate::engine::EngineError;
 use crate::server::ServerError;
 use crate::session::SessionError;
-use hhpim_workload::TraceError;
+use hhpim_workload::{TraceError, TrafficError};
 use std::fmt;
 
 /// `Result` with the facade [`enum@Error`] — the signature for
@@ -53,6 +78,9 @@ pub enum Error {
     /// A workload trace could not be generated or replayed
     /// ([`TraceError`]).
     Trace(TraceError),
+    /// Load generation, a recorded arrival trace or a pacer was
+    /// rejected ([`TrafficError`]).
+    Traffic(TrafficError),
     /// The batch facade failed to build or drive a session
     /// ([`SessionError`]).
     Session(SessionError),
@@ -73,6 +101,7 @@ impl fmt::Display for Error {
             Error::Cost(e) => write!(f, "cost model: {e}"),
             Error::Backend(e) => write!(f, "backend: {e}"),
             Error::Trace(e) => write!(f, "trace: {e}"),
+            Error::Traffic(e) => write!(f, "traffic: {e}"),
             Error::Session(e) => write!(f, "session: {e}"),
             Error::Engine(e) => write!(f, "engine: {e}"),
             Error::Server(e) => write!(f, "server: {e}"),
@@ -87,6 +116,7 @@ impl std::error::Error for Error {
             Error::Cost(e) => Some(e),
             Error::Backend(e) => Some(e),
             Error::Trace(e) => Some(e),
+            Error::Traffic(e) => Some(e),
             Error::Session(e) => Some(e),
             Error::Engine(e) => Some(e),
             Error::Server(e) => Some(e),
@@ -110,6 +140,12 @@ impl From<BackendError> for Error {
 impl From<TraceError> for Error {
     fn from(e: TraceError) -> Self {
         Error::Trace(e)
+    }
+}
+
+impl From<TrafficError> for Error {
+    fn from(e: TrafficError) -> Self {
+        Error::Traffic(e)
     }
 }
 
@@ -149,6 +185,7 @@ mod tests {
             CostModelError::ZeroGroupSize.into(),
             BackendError::Cost(CostModelError::ZeroGroupSize).into(),
             TraceError::Empty.into(),
+            TrafficError::InvalidPace { interval_secs: 0.0 }.into(),
             SessionError::NoTraceSource.into(),
             EngineError::InvalidLoad {
                 slice: 0,

@@ -134,9 +134,9 @@ pub struct QosClass {
     /// Deficit-round-robin quantum: slices granted per scheduling
     /// round relative to other tenants (clamped to at least 1).
     pub priority: u32,
-    /// The tenant engine's bounded-queue capacity (clamped to at
-    /// least 1); loads beyond it wait in the source and are counted
-    /// as deferrals.
+    /// The tenant engine's bounded-queue capacity, at least 1
+    /// ([`ServerBuilder::build`] rejects 0); loads beyond it wait in
+    /// the source and are counted as deferrals.
     pub queue_cap: usize,
     /// [`ShedOnPressure`]'s threshold: shed new loads while the
     /// tenant's recent miss rate (over the server's miss window)
@@ -174,7 +174,8 @@ impl QosClass {
         self
     }
 
-    /// Sets the tenant queue capacity.
+    /// Sets the tenant queue capacity; [`ServerBuilder::build`]
+    /// rejects 0.
     pub fn with_queue_cap(mut self, queue_cap: usize) -> Self {
         self.queue_cap = queue_cap;
         self
@@ -782,7 +783,8 @@ impl ServerBuilder {
     ///
     /// [`ServerError::NoTenants`] without tenants,
     /// [`ServerError::DuplicateTenant`] on a repeated name,
-    /// [`ServerError::InvalidQos`] on a malformed QoS class, and
+    /// [`ServerError::InvalidQos`] on a malformed QoS class (a miss-rate
+    /// threshold outside `[0, 1]`, or a queue capacity of 0), and
     /// [`ServerError::Build`] when a tenant's backend cannot be
     /// built.
     pub fn build(self) -> Result<Server, ServerError> {
@@ -801,6 +803,13 @@ impl ServerBuilder {
                     tenant: spec.name.clone(),
                     field: "max_miss_rate",
                     value: spec.qos.max_miss_rate,
+                });
+            }
+            if spec.qos.queue_cap == 0 {
+                return Err(ServerError::InvalidQos {
+                    tenant: spec.name.clone(),
+                    field: "queue_cap",
+                    value: 0.0,
                 });
             }
         }
@@ -831,7 +840,7 @@ impl ServerBuilder {
                     error,
                 })?;
             let engine =
-                Engine::from_backends(vec![backend]).with_queue_capacity(spec.qos.queue_cap.max(1));
+                Engine::from_backends(vec![backend]).with_queue_capacity(spec.qos.queue_cap);
             tenants.push(Tenant {
                 id: TenantId(index),
                 name: spec.name,
@@ -1466,6 +1475,28 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn zero_queue_cap_is_rejected_at_build() {
+        let built = ServerBuilder::new()
+            .tenant(
+                TenantSpec::new(
+                    "cam",
+                    TinyMlModel::MobileNetV2,
+                    source(Scenario::LowConstant, 2, 0),
+                )
+                .qos(QosClass::default().with_queue_cap(0)),
+            )
+            .build();
+        match built {
+            Err(ServerError::InvalidQos {
+                tenant,
+                field: "queue_cap",
+                value,
+            }) => assert_eq!((tenant.as_str(), value), ("cam", 0.0)),
+            other => panic!("expected InvalidQos, got {:?}", other.err()),
+        }
     }
 
     /// A policy that answers every offered load the same way.
