@@ -228,13 +228,13 @@ impl Cluster {
     }
 
     /// The timing-graph replay kernel for one compiled schedule split:
-    /// charges the issue of one instruction selecting the modules of the
-    /// local `mask`, then streams `count` MACs on each of them, in
-    /// ascending local index, from the dispatch instant
-    /// ([`PimModule::mac_stream_resolved`]). Returns the latest of the
-    /// dispatch instant and every module's completion, which is all a
-    /// barrier needs. One call per cluster replaces one call per module,
-    /// and the stream loop stays inside this crate.
+    /// [`Cluster::for_selected`] over [`PimModule::mac_stream_resolved`].
+    /// It charges the issue of one instruction selecting the modules of
+    /// the local `mask`, then streams `count` MACs on each of them, in
+    /// ascending local index, from the dispatch instant, and returns the
+    /// latest of the dispatch instant and every module's completion,
+    /// which is all a barrier needs. A replay makes one call per cluster
+    /// and node, and the per-module loop is compiled inside this crate.
     ///
     /// # Errors
     ///
@@ -251,17 +251,9 @@ impl Cluster {
         addr: usize,
         count: usize,
     ) -> Result<SimTime, (usize, ModuleError)> {
-        let dispatched = self.issue(at, mask.count_ones() as usize);
-        let mut latest = dispatched;
-        for (idx, module) in self.modules.iter_mut().enumerate().take(8) {
-            if (mask >> idx) & 1 == 1 {
-                let done = module
-                    .mac_stream_resolved(dispatched, mem, weights, acts, addr, count)
-                    .map_err(|e| (idx, e))?;
-                latest = latest.max(done);
-            }
-        }
-        Ok(latest)
+        self.for_selected(at, mask, |module, dispatched| {
+            module.mac_stream_resolved(dispatched, mem, weights, acts, addr, count)
+        })
     }
 
     /// Reads chunks out of the selected modules into the Data Rearrange

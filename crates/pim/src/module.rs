@@ -893,8 +893,8 @@ mod tests {
         assert!(total.as_pj() >= (mram_dyn + sram_dyn).as_pj());
     }
 
-    /// [`PimModule::mac_stream_resolved`] spelled out as the sequence
-    /// it first shipped with: time the whole stream with `burst_done`
+    /// [`PimModule::mac_stream_resolved`] spelled out with the public
+    /// bank and PE primitives: time the whole stream with `burst_done`
     /// and `stream_done`, then charge each bank through
     /// `access_resolved` and the PE through `ProcessingElement::mac_stream`.
     fn reference_stream(
