@@ -18,9 +18,9 @@
 //! * [`traffic`] — **load generation**: seeded stochastic
 //!   [`ArrivalProcess`]es ([`Poisson`], [`BurstyOnOff`], [`Diurnal`],
 //!   [`ConstantRate`]) driving sessions, engines and servers;
-//!   record/replay with time warp ([`ReplayTraffic`]); [`ClosedLoop`]
-//!   AIMD load control; and a wall-clock [`Pacer`] producing
-//!   [`LoadReport`]s of sustained slices/sec and latency tails,
+//!   record/replay with time warp ([`ReplayTraffic`]); and a
+//!   wall-clock [`Pacer`] producing [`LoadReport`]s of sustained
+//!   slices/sec and latency tails,
 //! * [`timegraph`] — **the cycle backend's hot path**: [`TimeGraph`]
 //!   lowers a compiled program + placement into a flat arena of
 //!   pre-resolved nodes replayed bit-identically to the object walk
@@ -126,8 +126,7 @@ pub use space::{movement_legs, MovementLeg, Placement, StorageSpace};
 pub use store::{CacheStats, PlacementKey, PlacementStore};
 pub use timegraph::TimeGraph;
 pub use traffic::{
-    drive_closed_loop, record_slices, run_paced, serve_paced, ArrivalProcess, BurstyOnOff,
-    ClosedLoop, ClosedLoopConfig, ClosedLoopReport, ConstantRate, Diurnal, LoadDistribution,
-    LoadFeedback, LoadReport, Pacer, Poisson, RecordedArrival, RecordedTrace, ReplayTraffic,
+    record_slices, run_paced, serve_paced, ArrivalProcess, BurstyOnOff, ConstantRate, Diurnal,
+    LoadDistribution, LoadReport, Pacer, Poisson, RecordedArrival, RecordedTrace, ReplayTraffic,
     TraceRecorder, TrafficConfig, TrafficEngine, TrafficError, TrafficSource, TRACE_FORMAT_VERSION,
 };

@@ -12,8 +12,6 @@
 //! * [`record_slices`] — taps an [`Engine`] with a [`TraceRecorder`]
 //!   so *executed* slices (not just offered ones) can be captured and
 //!   replayed through [`ReplayTraffic`].
-//! * [`drive_closed_loop`] — runs a [`ClosedLoop`] controller against
-//!   live engine feedback (queue depth, deadline misses).
 //! * [`run_paced`] / [`serve_paced`] — wall-clock pacing of
 //!   [`Engine::step`] and [`Server`] rounds under a [`Pacer`],
 //!   yielding a [`LoadReport`].
@@ -28,9 +26,9 @@ use crate::session::{SessionError, TraceSource};
 use hhpim_workload::LoadTrace;
 
 pub use hhpim_workload::traffic::{
-    ArrivalProcess, BurstyOnOff, ClosedLoop, ClosedLoopConfig, ConstantRate, Diurnal,
-    LoadDistribution, LoadFeedback, LoadReport, Pacer, Poisson, RecordedArrival, RecordedTrace,
-    ReplayTraffic, TraceRecorder, TrafficConfig, TrafficEngine, TrafficError, TRACE_FORMAT_VERSION,
+    ArrivalProcess, BurstyOnOff, ConstantRate, Diurnal, LoadDistribution, LoadReport, Pacer,
+    Poisson, RecordedArrival, RecordedTrace, ReplayTraffic, TraceRecorder, TrafficConfig,
+    TrafficEngine, TrafficError, TRACE_FORMAT_VERSION,
 };
 
 /// A [`TraceSource`] over a finite horizon of synthetic traffic.
@@ -95,74 +93,6 @@ pub fn record_slices(engine: &mut Engine, recorder: &TraceRecorder) {
             }
         }
     });
-}
-
-/// What a closed-loop run converged to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClosedLoopReport {
-    /// Slices executed.
-    pub slices: usize,
-    /// Mean load the controller offered over the run.
-    pub mean_offered: f64,
-    /// The controller's offered load after the final observation.
-    pub final_offered: f64,
-    /// Multiplicative back-offs the controller took.
-    pub backoffs: u64,
-    /// Deadline misses observed on the primary backend.
-    pub deadline_misses: u64,
-}
-
-/// Runs `slices` slices of closed-loop traffic: each slice offers
-/// [`ClosedLoop::next_load`], executes it, and feeds the observed
-/// [`LoadFeedback`] (queue depth after the step, primary-backend
-/// deadline misses) back into the controller.
-///
-/// The driver consumes the engine's buffered event stream (that *is*
-/// the feedback channel); attach an observer first if you also want
-/// the events elsewhere. The run leaves the engine mid-stream —
-/// [`Engine::drain`] it for reports.
-///
-/// # Errors
-///
-/// See [`Engine::step`].
-pub fn drive_closed_loop(
-    engine: &mut Engine,
-    controller: &mut ClosedLoop,
-    slices: usize,
-) -> Result<ClosedLoopReport, EngineError> {
-    let primary = engine.backend_kinds().first().copied();
-    let mut offered_total = 0.0;
-    let mut misses_total = 0u64;
-    for _ in 0..slices {
-        let load = controller.next_load();
-        offered_total += load;
-        engine.submit_blocking(load)?;
-        engine.step()?;
-        let mut misses = 0u64;
-        for event in engine.events() {
-            if let EngineEvent::DeadlineMiss { backend, .. } = event {
-                if Some(backend) == primary {
-                    misses += 1;
-                }
-            }
-        }
-        misses_total += misses;
-        controller.observe(LoadFeedback {
-            queue_depth: engine.pending(),
-            deadline_misses: misses,
-        });
-    }
-    Ok(ClosedLoopReport {
-        slices,
-        mean_offered: if slices == 0 {
-            0.0
-        } else {
-            offered_total / slices as f64
-        },
-        final_offered: controller.offered(),
-        backoffs: controller.backoffs(),
-        deadline_misses: misses_total,
-    })
 }
 
 /// Paces `loads` through `engine` against the wall clock, one slice
@@ -332,33 +262,6 @@ mod tests {
         }
         let replayed = rerun.drain().unwrap().remove(0);
         assert_eq!(original, replayed, "warp-1.0 replay is bit-identical");
-    }
-
-    #[test]
-    fn closed_loop_climbs_on_a_clean_engine() {
-        let mut engine = engine();
-        let mut controller = ClosedLoop::default();
-        let report = drive_closed_loop(&mut engine, &mut controller, 30).unwrap();
-        assert_eq!(report.slices, 30);
-        // The default config never misses deadlines, so AIMD climbs to
-        // the ceiling and stays.
-        assert_eq!(report.deadline_misses, 0);
-        assert_eq!(report.backoffs, 0);
-        assert_eq!(report.final_offered, controller.config().ceil);
-        assert!(report.mean_offered > controller.config().initial);
-        let reports = engine.drain().unwrap();
-        assert_eq!(reports[0].records.len(), 30);
-    }
-
-    #[test]
-    fn closed_loop_driver_is_deterministic() {
-        let run = || {
-            let mut engine = engine();
-            let mut controller = ClosedLoop::default();
-            let report = drive_closed_loop(&mut engine, &mut controller, 25).unwrap();
-            (report, engine.drain().unwrap().remove(0))
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

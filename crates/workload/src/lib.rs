@@ -29,7 +29,7 @@ pub mod traffic;
 pub use object_trace::{object_loads, object_task_counts, ObjectStreamParams};
 pub use scenario::{LoadTrace, Scenario, ScenarioParams, TraceError, TraceOrigin};
 pub use traffic::{
-    ArrivalProcess, BurstyOnOff, ClosedLoop, ClosedLoopConfig, ConstantRate, Diurnal,
-    LoadDistribution, LoadFeedback, LoadReport, Pacer, Poisson, RecordedArrival, RecordedTrace,
-    ReplayTraffic, TraceRecorder, TrafficConfig, TrafficEngine, TrafficError, TRACE_FORMAT_VERSION,
+    ArrivalProcess, BurstyOnOff, ConstantRate, Diurnal, LoadDistribution, LoadReport, Pacer,
+    Poisson, RecordedArrival, RecordedTrace, ReplayTraffic, TraceRecorder, TrafficConfig,
+    TrafficEngine, TrafficError, TRACE_FORMAT_VERSION,
 };

@@ -11,9 +11,6 @@
 //!   unbounded stream of per-slice loads in `[0, 1]`, with saturated
 //!   slices carrying their overflow into a backlog
 //!   (load-conserving, via [`LoadTrace::saturating_merge`]).
-//! * [`ClosedLoop`] — an AIMD controller whose next offered load
-//!   depends on observed engine feedback (queue depth, deadline
-//!   misses), which no fixed-length `LoadTrace` can express.
 //! * [`TraceRecorder`] / [`RecordedTrace`] / [`ReplayTraffic`] —
 //!   capture `(arrival time, load)` pairs from any run into a
 //!   versioned on-disk JSON format and replay them compressed or
@@ -376,141 +373,6 @@ impl Iterator for TrafficEngine {
     }
 }
 
-/// Engine feedback one slice of closed-loop traffic reacts to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LoadFeedback {
-    /// Loads waiting in the engine queue after the slice.
-    pub queue_depth: usize,
-    /// Deadline misses observed in the slice.
-    pub deadline_misses: u64,
-}
-
-/// Tuning for the [`ClosedLoop`] AIMD controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClosedLoopConfig {
-    /// Offered load before any feedback arrives.
-    pub initial: f64,
-    /// Lower clamp on offered load.
-    pub floor: f64,
-    /// Upper clamp on offered load.
-    pub ceil: f64,
-    /// Additive increase applied after a clean observation.
-    pub increase: f64,
-    /// Multiplicative factor applied on pressure (missed deadline or
-    /// deep queue).
-    pub decrease: f64,
-    /// Queue depths beyond this count as pressure.
-    pub target_queue: usize,
-}
-
-impl Default for ClosedLoopConfig {
-    fn default() -> Self {
-        ClosedLoopConfig {
-            initial: 0.5,
-            floor: 0.05,
-            ceil: 1.0,
-            increase: 0.05,
-            decrease: 0.5,
-            target_queue: 4,
-        }
-    }
-}
-
-/// Response-dependent load: an additive-increase /
-/// multiplicative-decrease controller that probes for the machine's
-/// sustainable throughput, backing off when the engine reports
-/// deadline misses or a queue deeper than its target.
-///
-/// This is the one traffic mode a fixed-length [`LoadTrace`] cannot
-/// express — the next offered load is a function of the run so far.
-/// The controller itself is deterministic (no RNG): identical
-/// feedback sequences produce identical load sequences.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClosedLoop {
-    config: ClosedLoopConfig,
-    offered: f64,
-    observations: u64,
-    backoffs: u64,
-}
-
-impl ClosedLoop {
-    /// A controller under `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ floor ≤ initial ≤ ceil ≤ 1`, the increase
-    /// is non-negative, and the decrease factor is in `(0, 1]`.
-    pub fn new(config: ClosedLoopConfig) -> Self {
-        assert!(
-            0.0 <= config.floor
-                && config.floor <= config.initial
-                && config.initial <= config.ceil
-                && config.ceil <= 1.0,
-            "need 0 ≤ floor ≤ initial ≤ ceil ≤ 1, got {config:?}"
-        );
-        assert!(config.increase >= 0.0, "negative increase: {config:?}");
-        assert!(
-            config.decrease > 0.0 && config.decrease <= 1.0,
-            "decrease factor outside (0, 1]: {config:?}"
-        );
-        ClosedLoop {
-            config,
-            offered: config.initial,
-            observations: 0,
-            backoffs: 0,
-        }
-    }
-
-    /// The load to offer for the next slice.
-    pub fn next_load(&mut self) -> f64 {
-        self.offered
-    }
-
-    /// Currently offered load.
-    pub fn offered(&self) -> f64 {
-        self.offered
-    }
-
-    /// Feeds one slice's observed feedback into the controller:
-    /// pressure (a deadline miss, or a queue beyond the target)
-    /// multiplies the offered load by the decrease factor; a clean
-    /// slice adds the additive increase. The result clamps to
-    /// `[floor, ceil]`.
-    pub fn observe(&mut self, feedback: LoadFeedback) {
-        self.observations += 1;
-        let pressured =
-            feedback.deadline_misses > 0 || feedback.queue_depth > self.config.target_queue;
-        self.offered = if pressured {
-            self.backoffs += 1;
-            self.offered * self.config.decrease
-        } else {
-            self.offered + self.config.increase
-        }
-        .clamp(self.config.floor, self.config.ceil);
-    }
-
-    /// Observations consumed so far.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
-    /// Multiplicative back-offs taken so far.
-    pub fn backoffs(&self) -> u64 {
-        self.backoffs
-    }
-
-    /// The controller's tuning.
-    pub fn config(&self) -> &ClosedLoopConfig {
-        &self.config
-    }
-}
-
-impl Default for ClosedLoop {
-    fn default() -> Self {
-        Self::new(ClosedLoopConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,70 +466,6 @@ mod tests {
             loads[1..].iter().all(|&l| (l - 0.6).abs() < 1e-12),
             "{loads:?}"
         );
-    }
-
-    #[test]
-    fn closed_loop_backs_off_under_pressure_and_recovers() {
-        let mut ctl = ClosedLoop::default();
-        let start = ctl.next_load();
-        ctl.observe(LoadFeedback {
-            queue_depth: 0,
-            deadline_misses: 2,
-        });
-        let after_miss = ctl.next_load();
-        assert!(after_miss < start, "{after_miss} !< {start}");
-        for _ in 0..40 {
-            ctl.observe(LoadFeedback::default());
-        }
-        assert_eq!(ctl.next_load(), ctl.config().ceil, "clean feedback climbs");
-        ctl.observe(LoadFeedback {
-            queue_depth: 100,
-            deadline_misses: 0,
-        });
-        assert!(
-            ctl.next_load() < ctl.config().ceil,
-            "deep queue is pressure"
-        );
-        assert_eq!(ctl.backoffs(), 2);
-    }
-
-    #[test]
-    fn closed_loop_respects_floor() {
-        let mut ctl = ClosedLoop::default();
-        for _ in 0..50 {
-            ctl.observe(LoadFeedback {
-                queue_depth: 0,
-                deadline_misses: 1,
-            });
-        }
-        assert_eq!(ctl.offered(), ctl.config().floor);
-    }
-
-    #[test]
-    fn closed_loop_is_deterministic() {
-        let feedback = [
-            LoadFeedback::default(),
-            LoadFeedback {
-                queue_depth: 9,
-                deadline_misses: 0,
-            },
-            LoadFeedback::default(),
-            LoadFeedback {
-                queue_depth: 0,
-                deadline_misses: 1,
-            },
-        ];
-        let run = |mut ctl: ClosedLoop| -> Vec<f64> {
-            feedback
-                .iter()
-                .map(|&f| {
-                    let l = ctl.next_load();
-                    ctl.observe(f);
-                    l
-                })
-                .collect()
-        };
-        assert_eq!(run(ClosedLoop::default()), run(ClosedLoop::default()));
     }
 
     #[test]

@@ -5,11 +5,10 @@
 
 use hhpim::session::SessionBuilder;
 use hhpim::{
-    record_slices, ClosedLoop, Engine, EngineEvent, LoadDistribution, Pacer, RecordedTrace,
-    ReplayTraffic, TraceRecorder, TrafficConfig, TrafficEngine, TrafficSource,
+    record_slices, Engine, EngineEvent, LoadDistribution, RecordedTrace, ReplayTraffic,
+    TraceRecorder, TrafficConfig, TrafficEngine, TrafficSource,
 };
 use proptest::prelude::*;
-use std::time::Duration;
 
 fn engine() -> Engine {
     Engine::new(SessionBuilder::new().build_analytic().unwrap())
@@ -182,37 +181,6 @@ fn budgeted_pump_stops_exactly_at_budget_with_no_events_lost() {
     assert_eq!(completed, BUDGET, "one completion event per budgeted slice");
     let reports = engine.drain().unwrap();
     assert_eq!(reports[0].records.len(), BUDGET);
-}
-
-/// The closed loop and the pacer compose: a paced closed-loop session
-/// over a `TrafficSource` stays deterministic in its load decisions
-/// even though wall-clock timing varies run to run.
-#[test]
-fn paced_closed_loop_is_deterministic_in_loads() {
-    let run = || {
-        let mut eng = engine();
-        let mut controller = ClosedLoop::default();
-        let mut pacer = Pacer::new(Duration::from_micros(50)).unwrap();
-        let mut offered = Vec::new();
-        for _ in 0..30 {
-            pacer.pace();
-            let load = controller.next_load();
-            offered.push(load);
-            eng.submit_blocking(load).unwrap();
-            eng.step().unwrap();
-            let misses = eng
-                .events()
-                .filter(|e| matches!(e, EngineEvent::DeadlineMiss { .. }))
-                .count() as u64;
-            controller.observe(hhpim::LoadFeedback {
-                queue_depth: eng.pending(),
-                deadline_misses: misses,
-            });
-            pacer.complete();
-        }
-        (offered, eng.drain().unwrap().remove(0))
-    };
-    assert_eq!(run(), run(), "pacing must never perturb the load sequence");
 }
 
 /// `TrafficSource` honours the `TraceSource` contract end to end: a
