@@ -24,10 +24,11 @@
 //!   module through `PimModule::mac_stream_resolved` — the
 //!   allocation-free, single-pass twin of the interpreted
 //!   `PimMachine::mac_stream` path,
-//! * the bit-exact head folds its INT8 products straight out of bank
-//!   storage (`PimModule::mac_resolved` →
-//!   `ProcessingElement::mac_burst_prefolded`, bit-identical by i32
-//!   wrapping associativity),
+//! * the bit-exact head runs through `PimModule::mac_resolved`, which
+//!   times each burst in the stream kernel's single checked pass and
+//!   folds its INT8 products straight out of bank storage
+//!   (bit-identical to a pair-by-pair fold by i32 wrapping
+//!   associativity); the object walk's `PimModule::mac` delegates to it,
 //! * barriers resynchronize against one barrier horizon, the latest
 //!   instant any module or issue pipeline has been booked to, instead
 //!   of re-scanning the module hierarchy,

@@ -373,7 +373,8 @@ impl PimModule {
     ///
     /// # Errors
     ///
-    /// Propagates bank errors (gated banks) and range errors.
+    /// See [`Self::mac_resolved`]; MRAM on an SRAM-only module is a
+    /// range error.
     pub fn mac(
         &mut self,
         at: SimTime,
@@ -381,36 +382,10 @@ impl PimModule {
         addr: usize,
         count: usize,
     ) -> Result<SimTime, ModuleError> {
-        let at = at.max(self.free_at);
         self.check_range(mem, addr, count)?;
-        if self.act_ptr + count > self.sram_data.capacity {
-            return Err(ModuleError::ActivationOverrun);
-        }
-        // Weight burst from the selected bank.
-        let w_done = self
-            .bank_mut(mem)?
-            .access(at, AccessKind::Read, count as u64)?
-            .done_at;
-        // Activation burst always from SRAM. When weights also come from
-        // SRAM the single port serializes both bursts automatically.
-        let a_done = self
-            .sram
-            .access(at, AccessKind::Read, count as u64)?
-            .done_at;
-        let operands_ready = w_done.max(a_done);
-        let mut pairs = Vec::with_capacity(count);
-        for_each_pair(
-            self.data(mem),
-            addr,
-            &self.sram_data,
-            self.act_ptr,
-            count,
-            |w, a| pairs.push((w, a)),
-        );
-        let done = self.pe.mac_burst(operands_ready, &pairs);
-        self.act_ptr += count;
-        self.free_at = done;
-        Ok(done)
+        let weights = self.bank_mut(mem)?.resolve(AccessKind::Read);
+        let acts = self.sram.resolve(AccessKind::Read);
+        self.mac_resolved(at, mem, &weights, &acts, addr, count)
     }
 
     /// Streams `count` MACs through the PE with exact timing/energy
@@ -441,18 +416,23 @@ impl PimModule {
         self.mac_stream_resolved(at, mem, &weights, &acts, addr, count)
     }
 
-    /// [`Self::mac`] with pre-resolved bank coefficients and no operand
-    /// `Vec`: the weight/activation products are folded in place over
-    /// the banks' page runs (no copy, no allocation) and applied through
-    /// [`ProcessingElement::mac_burst_prefolded`], which lands on the
-    /// identical accumulator, timing, energy and counters (wrapping i32
-    /// addition is associative). `weights` must be resolved from the
-    /// bank `mem` selects and `acts` from this module's SRAM.
+    /// [`Self::mac`] with pre-resolved bank coefficients. The burst is
+    /// timed in one pass, as [`Self::mac_stream_resolved`] times a
+    /// stream, and the weight/activation products are folded in place
+    /// over the banks' page runs (no copy, no allocation); wrapping i32
+    /// addition is associative, so the accumulator lands where a
+    /// pair-by-pair [`ProcessingElement::mac_burst`] would. `weights`
+    /// must be resolved from the bank `mem` selects and `acts` from this
+    /// module's SRAM.
     ///
     /// # Errors
     ///
-    /// Propagates bank errors (gated banks) and range errors, exactly
-    /// as [`Self::mac`] does.
+    /// In this order: a range error on `addr..addr + count`;
+    /// [`ModuleError::ActivationOverrun`];
+    /// [`ModuleError::TimeOverflow`] when a burst or the MACs would end
+    /// past the last [`SimTime`], with the module left exactly as it
+    /// was; a gated weight bank, with nothing charged; a gated SRAM
+    /// bank, with the weight burst already charged.
     pub fn mac_resolved(
         &mut self,
         at: SimTime,
@@ -467,12 +447,7 @@ impl PimModule {
         if self.act_ptr + count > self.sram_data.capacity {
             return Err(ModuleError::ActivationOverrun);
         }
-        let w_done = self
-            .bank_mut(mem)?
-            .access_resolved(at, weights, count as u64)?
-            .done_at;
-        let a_done = self.sram.access_resolved(at, acts, count as u64)?.done_at;
-        let operands_ready = w_done.max(a_done);
+        let done = self.charge_burst(at, mem, weights, acts, count as u64)?;
         let mut delta = 0i32;
         for_each_pair(
             self.data(mem),
@@ -482,11 +457,8 @@ impl PimModule {
             count,
             |w, a| delta = delta.wrapping_add(w as i32 * a as i32),
         );
-        let done = self
-            .pe
-            .mac_burst_prefolded(operands_ready, delta, count as u64);
+        self.pe.accumulate(delta);
         self.act_ptr += count;
-        self.free_at = done;
         Ok(done)
     }
 
@@ -517,18 +489,28 @@ impl PimModule {
     ) -> Result<SimTime, ModuleError> {
         let at = at.max(self.free_at);
         self.check_range(mem, addr, 1)?;
-        let words = count as u64;
-        // Time the whole stream before any bank or the PE changes, so an
-        // overflow late in the chain leaves no burst half-charged. With
-        // SRAM weights both bursts share one port, so the activations
-        // queue behind the weights.
+        self.charge_burst(at, mem, weights, acts, count as u64)
+    }
+
+    /// Times a `words`-MAC burst issued at `at` in one pass, then
+    /// charges the weight bank, SRAM and the PE, and returns the
+    /// completion instant; errors as [`Self::mac_resolved`] after its
+    /// range checks. The whole chain is timed before anything changes,
+    /// so an overflow late in it leaves no burst half-charged. With SRAM
+    /// weights both bursts share one port: activations queue behind them.
+    #[inline]
+    fn charge_burst(
+        &mut self,
+        at: SimTime,
+        mem: MemSelect,
+        weights: &ResolvedAccess,
+        acts: &ResolvedAccess,
+        words: u64,
+    ) -> Result<SimTime, ModuleError> {
+        let w_port = self.bank_mut(mem)?.port_free_at();
         let timed = (|| {
             let w_service = weights.latency.checked_mul(words)?;
-            let w_done = self
-                .bank(mem)
-                .port_free_at()
-                .max(at)
-                .checked_add(w_service)?;
+            let w_done = w_port.max(at).checked_add(w_service)?;
             let a_service = acts.latency.checked_mul(words)?;
             let a_at = if mem == MemSelect::Sram { w_done } else { at };
             let a_done = self.sram.port_free_at().max(a_at).checked_add(a_service)?;
@@ -821,6 +803,11 @@ mod tests {
         let mut m = PimModule::new(ClusterClass::HighPerformance, cfg);
         assert!(!m.has_mram());
         assert!(m.mac(SimTime::ZERO, MemSelect::Mram, 0, 1).is_err());
+        let none = ModuleError::AddrOutOfRange {
+            addr: 0,
+            capacity: 0,
+        };
+        assert_eq!(m.mac(SimTime::MAX, MemSelect::Mram, 0, 0), Err(none));
     }
 
     #[test]
@@ -893,6 +880,59 @@ mod tests {
         assert!(total.as_pj() >= (mram_dyn + sram_dyn).as_pj());
     }
 
+    /// [`PimModule::mac`] spelled out with the public bank and PE
+    /// primitives: charge the weight bank, then SRAM, through
+    /// `access_resolved`, then run `ProcessingElement::mac_burst` over
+    /// the operand pairs read back from the banks.
+    fn reference_mac(
+        m: &mut PimModule,
+        at: SimTime,
+        mem: MemSelect,
+        addr: usize,
+        count: usize,
+    ) -> Result<SimTime, ModuleError> {
+        let at = at.max(m.free_at);
+        m.check_range(mem, addr, count)?;
+        if m.act_ptr + count > m.sram_data.capacity {
+            return Err(ModuleError::ActivationOverrun);
+        }
+        let weights = m.bank(mem).resolve(AccessKind::Read);
+        let acts = m.sram.resolve(AccessKind::Read);
+        let words = count as u64;
+        let w_done = m.bank_mut(mem)?.access_resolved(at, &weights, words)?;
+        let a_done = m.sram.access_resolved(at, &acts, words)?;
+        let w = m.read_back(mem, addr, count)?;
+        let x = m.read_back(MemSelect::Sram, m.act_ptr, count)?;
+        let pairs: Vec<(i8, i8)> = (0..count).map(|i| (w[i] as i8, x[i] as i8)).collect();
+        let done = m.pe.mac_burst(w_done.done_at.max(a_done.done_at), &pairs);
+        m.act_ptr += count;
+        m.free_at = done;
+        Ok(done)
+    }
+
+    /// Issues one head MAC through [`reference_mac`] on `modules[0]`,
+    /// through `mac` on `modules[1]` and through `mac_resolved` on
+    /// `modules[2]`, and asserts that all three return the same outcome
+    /// and end in the same state, to the bit.
+    fn mac_all(
+        modules: &mut [PimModule; 3],
+        at: SimTime,
+        mem: MemSelect,
+        addr: usize,
+        count: usize,
+    ) -> Result<SimTime, ModuleError> {
+        let [reference, object, resolved] = modules;
+        let weights = resolved.bank(mem).resolve(AccessKind::Read);
+        let acts = resolved.bank(MemSelect::Sram).resolve(AccessKind::Read);
+        let want = reference_mac(reference, at, mem, addr, count);
+        assert_eq!(object.mac(at, mem, addr, count), want);
+        let got = resolved.mac_resolved(at, mem, &weights, &acts, addr, count);
+        assert_eq!(got, want, "{mem:?} {addr}+{count} at {at}");
+        assert_eq!(format!("{reference:?}"), format!("{object:?}"));
+        assert_eq!(format!("{reference:?}"), format!("{resolved:?}"));
+        got
+    }
+
     /// [`PimModule::mac_stream_resolved`] spelled out with the public
     /// bank and PE primitives: time the whole stream with `burst_done`
     /// and `stream_done`, then charge each bank through
@@ -948,27 +988,36 @@ mod tests {
 
     #[test]
     fn resolved_mac_paths_match_object_paths_bit_for_bit() {
+        let act_base = ModuleConfig::default().act_base;
+        let mut m = hp_module();
+        m.preload(MemSelect::Mram, 0, &[3u8, 250, 17, 90]).unwrap();
+        m.preload(MemSelect::Sram, 0, &[9u8, 128, 66]).unwrap();
+        m.preload(MemSelect::Sram, act_base, &[7u8, 200, 5, 11, 1, 255, 40])
+            .unwrap();
+        let mut heads = [m.clone(), m.clone(), m];
+        let d1 = mac_all(&mut heads, SimTime::ZERO, MemSelect::Mram, 0, 4).unwrap();
+        mac_all(&mut heads, d1, MemSelect::Sram, 0, 3).unwrap();
+        mac_all(&mut heads, SimTime::ZERO, MemSelect::Mram, 4, 0).unwrap();
+        // A gated weight bank is charged nothing; a gated SRAM bank
+        // fails after the MRAM weights are charged.
+        let gated = Err(ModuleError::Bank(BankError::Gated));
+        for m in heads.iter_mut() {
+            m.set_gated(d1, MemSelect::Mram, true).unwrap();
+        }
+        assert_eq!(mac_all(&mut heads, d1, MemSelect::Mram, 0, 1), gated);
+        for m in heads.iter_mut() {
+            m.set_gated(d1, MemSelect::Mram, false).unwrap();
+            m.free_bytes(MemSelect::Sram, 10).unwrap();
+            m.set_gated(d1, MemSelect::Sram, true).unwrap();
+        }
+        assert_eq!(mac_all(&mut heads, d1, MemSelect::Mram, 0, 1), gated);
+
         let mut a = hp_module();
         let mut b = hp_module();
-        let act_base = ModuleConfig::default().act_base;
-        for m in [&mut a, &mut b] {
-            m.preload(MemSelect::Mram, 0, &[3u8, 250, 17, 90]).unwrap();
-            m.preload(MemSelect::Sram, act_base, &[7u8, 200, 5, 11])
-                .unwrap();
-            m.clear_acc();
-        }
-        let weights = b.bank(MemSelect::Mram).resolve(AccessKind::Read);
-        let acts = b.bank(MemSelect::Sram).resolve(AccessKind::Read);
-        let d1 = a.mac(SimTime::ZERO, MemSelect::Mram, 0, 4).unwrap();
-        let d2 = b
-            .mac_resolved(SimTime::ZERO, MemSelect::Mram, &weights, &acts, 0, 4)
-            .unwrap();
-        assert_eq!(d1, d2);
-        assert_eq!(a.pe().accumulator(), b.pe().accumulator());
 
         // Streams: MRAM weights overlap the SRAM activations, SRAM
         // weights share the activations' port, and gaps accrue leakage.
-        let mut at = d1;
+        let mut at = SimTime::ZERO;
         for (gap_ns, mem, count) in [
             (0, MemSelect::Mram, 500),
             (0, MemSelect::Sram, 300),
@@ -1001,7 +1050,6 @@ mod tests {
         // A gated SRAM bank fails after the MRAM weights are charged.
         for m in [&mut a, &mut b] {
             m.set_gated(at, MemSelect::Mram, false).unwrap();
-            m.free_bytes(MemSelect::Sram, 4).unwrap();
             m.set_gated(at, MemSelect::Sram, true).unwrap();
         }
         let reads = b.bank(MemSelect::Mram).counters().0;
@@ -1075,31 +1123,37 @@ mod tests {
         let weights: Vec<u8> = (0..20u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
         let acts: Vec<u8> = (0..20u8).map(|i| i.wrapping_mul(91) ^ 0xC3).collect();
         for mem in [MemSelect::Mram, MemSelect::Sram] {
-            let mut a = PimModule::new(ClusterClass::LowPower, cfg);
-            a.preload(mem, PAGE_BYTES - 11, &weights).unwrap();
-            a.preload(MemSelect::Sram, cfg.act_base, &acts).unwrap();
-            a.clear_acc();
-            let mut b = a.clone();
-            let w = b.bank(mem).resolve(AccessKind::Read);
-            let x = b.bank(MemSelect::Sram).resolve(AccessKind::Read);
+            let mut m = PimModule::new(ClusterClass::LowPower, cfg);
+            m.preload(mem, PAGE_BYTES - 11, &weights).unwrap();
+            m.preload(MemSelect::Sram, cfg.act_base, &acts).unwrap();
+            let mut heads = [m.clone(), m.clone(), m];
             for (addr, count) in [(PAGE_BYTES - 11, 12), (PAGE_BYTES + 1, 8)] {
-                let d1 = a.mac(SimTime::ZERO, mem, addr, count).unwrap();
-                let d2 = b
-                    .mac_resolved(SimTime::ZERO, mem, &w, &x, addr, count)
-                    .unwrap();
-                assert_eq!(d1, d2);
-                assert_eq!(a.pe().accumulator(), b.pe().accumulator());
+                mac_all(&mut heads, SimTime::ZERO, mem, addr, count).unwrap();
             }
             let expect = weights
                 .iter()
                 .zip(&acts)
                 .fold(0i32, |d, (&w, &x)| d + w as i8 as i32 * x as i8 as i32);
-            assert_eq!(a.pe().accumulator(), expect);
-            assert_eq!(
-                a.total_energy().as_pj().to_bits(),
-                b.total_energy().as_pj().to_bits()
-            );
+            assert_eq!(heads[2].pe().accumulator(), expect);
         }
+    }
+
+    #[test]
+    fn head_mac_past_the_last_simtime_is_a_typed_error() {
+        // One SRAM MAC on a fresh HP module: both bursts fit, the PE's
+        // 5.52 ns does not.
+        let late = SimTime::MAX - SimDuration::from_ns(3);
+        let mut m = hp_module();
+        let untouched = format!("{m:?}");
+        let x = m.bank(MemSelect::Sram).resolve(AccessKind::Read);
+        let overflow = Err(ModuleError::TimeOverflow);
+        assert_eq!(m.mac(late, MemSelect::Sram, 0, 1), overflow);
+        let resolved = m.mac_resolved(late, MemSelect::Sram, &x, &x, 0, 1);
+        assert_eq!(resolved, overflow);
+        assert_eq!(format!("{m:?}"), untouched);
+        // Overflow is reported ahead of a gated bank.
+        m.set_gated(SimTime::ZERO, MemSelect::Mram, true).unwrap();
+        assert_eq!(m.mac(late, MemSelect::Mram, 0, 1), overflow);
     }
 
     #[test]

@@ -140,24 +140,6 @@ impl ProcessingElement {
         done
     }
 
-    /// Executes a burst of `count` MACs whose products have already been
-    /// folded into `delta` by the caller; returns the completion instant.
-    ///
-    /// Because i32 wrapping addition is associative and commutative, the
-    /// accumulator lands on exactly the value the pair-by-pair
-    /// [`Self::mac_burst`] chain produces — this is the allocation-free
-    /// twin used by timing-graph replay, which folds operands straight
-    /// out of bank storage instead of materializing a pair `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PE is powered off.
-    pub fn mac_burst_prefolded(&mut self, at: SimTime, delta: i32, count: u64) -> SimTime {
-        let done = self.retire(at, count, self.tech.mac_latency * count);
-        self.acc = self.acc.wrapping_add(delta);
-        done
-    }
-
     /// The instant a [`Self::mac_stream`] of `count` MACs issued at `at`
     /// would complete, or `None` when its latency or completion instant
     /// does not fit in [`SimTime`]. Changes nothing.
@@ -181,6 +163,13 @@ impl ProcessingElement {
     pub fn mac_stream(&mut self, at: SimTime, count: u64) -> Option<SimTime> {
         self.stream_done(at, count)?;
         Some(self.retire(at, count, self.tech.mac_latency * count))
+    }
+
+    /// Adds the products of a burst already metered through
+    /// [`Self::retire`], folded by the caller with wrapping addition.
+    #[inline]
+    pub(crate) fn accumulate(&mut self, delta: i32) {
+        self.acc = self.acc.wrapping_add(delta);
     }
 
     /// The instant the PE is free for the next burst.
@@ -278,26 +267,6 @@ mod tests {
         let mut pe = ProcessingElement::new(hp_pe());
         pe.set_powered(SimTime::ZERO, false);
         pe.mac_burst(SimTime::ZERO, &[(1, 1)]);
-    }
-
-    #[test]
-    fn prefolded_burst_matches_mac_burst_bit_for_bit() {
-        let mut a = ProcessingElement::new(hp_pe());
-        let mut b = ProcessingElement::new(hp_pe());
-        let operands: Vec<(i8, i8)> = (0..100)
-            .map(|i| (((i * 37) % 256) as u8 as i8, ((i * 91) % 256) as u8 as i8))
-            .collect();
-        for chunk in operands.chunks(23) {
-            let d1 = a.mac_burst(SimTime::ZERO, chunk);
-            let delta = chunk.iter().fold(0i32, |acc, &(w, a)| {
-                acc.wrapping_add((w as i32) * (a as i32))
-            });
-            let d2 = b.mac_burst_prefolded(SimTime::ZERO, delta, chunk.len() as u64);
-            assert_eq!(d1, d2);
-        }
-        assert_eq!(a.accumulator(), b.accumulator());
-        assert_eq!(a.macs_retired(), b.macs_retired());
-        assert_eq!(a.dynamic_energy().as_pj(), b.dynamic_energy().as_pj());
     }
 
     #[test]
