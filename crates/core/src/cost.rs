@@ -127,6 +127,16 @@ impl core::fmt::Display for CostModelError {
 
 impl std::error::Error for CostModelError {}
 
+/// Slices of the slowest placement that must fit in `SimTime`.
+const RUN_SLICES: u64 = 1 << 16;
+
+/// The rejection of an out-of-domain `time_scale`.
+const TIME_SCALE_DOMAIN: CostModelError = CostModelError::InvalidParameter {
+    field: "time_scale",
+    requirement: "positive, normal, and small enough that 2^16 slices of the \
+                  slowest placement end within `SimTime`",
+};
+
 /// The resolved cost model (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
@@ -147,9 +157,11 @@ impl CostModel {
     ///
     /// Fails if the weights cannot fit in the architecture's placeable
     /// memory, the group size or `max_tasks_per_slice` is zero,
-    /// `time_scale` is not finite and positive, or
-    /// `act_reserve_per_module` times a cluster's module count
-    /// overflows `usize`.
+    /// `time_scale` is not a positive normal float or is so large that
+    /// `2^16` slices of the slowest placement (every group in one
+    /// space, `max_tasks_per_slice` tasks each) would end past the last
+    /// `SimTime`, or `act_reserve_per_module` times a cluster's module
+    /// count overflows `usize`.
     pub fn new(
         arch: ArchSpec,
         profile: WorkloadProfile,
@@ -158,11 +170,8 @@ impl CostModel {
         if params.group_size == 0 {
             return Err(CostModelError::ZeroGroupSize);
         }
-        if !(params.time_scale.is_finite() && params.time_scale > 0.0) {
-            return Err(CostModelError::InvalidParameter {
-                field: "time_scale",
-                requirement: "finite and positive",
-            });
+        if !(params.time_scale.is_normal() && params.time_scale > 0.0) {
+            return Err(TIME_SCALE_DOMAIN);
         }
         if params.max_tasks_per_slice == 0 {
             return Err(CostModelError::InvalidParameter {
@@ -213,9 +222,19 @@ impl CostModel {
                 op_pj += sram.read_energy().as_pj();
             }
             let macs_per_group_task = reuse * params.group_size as f64;
-            time_per_group[idx] = SimDuration::from_ns_f64(
-                macs_per_group_task * op_ns / modules as f64 * params.time_scale,
-            );
+            let ns = macs_per_group_task * op_ns / modules as f64 * params.time_scale;
+            // Check before `from_ns_f64`, which panics on an infinite
+            // product and saturates a huge one, then check the slowest
+            // slices the runtime can multiply it into.
+            if !(0.0..u64::MAX as f64).contains(&(ns * 1e3)) {
+                return Err(TIME_SCALE_DOMAIN);
+            }
+            time_per_group[idx] = SimDuration::from_ns_f64(ns);
+            time_per_group[idx]
+                .checked_mul(k_groups as u64)
+                .and_then(|t| t.checked_mul(u64::from(params.max_tasks_per_slice)))
+                .and_then(|t| t.checked_mul(RUN_SLICES))
+                .ok_or(TIME_SCALE_DOMAIN)?;
             // Dynamic energy scales with time_scale too: the calibrated
             // (FPGA-era) access occupies `time_scale×` the ASIC latency
             // at the same dynamic power, keeping the dynamic-vs-static
@@ -618,5 +637,28 @@ mod tests {
         .unwrap();
         assert_eq!(m.capacity_groups(StorageSpace::HpSram), 0);
         assert_eq!(m.capacity_groups(StorageSpace::LpSram), 0);
+    }
+
+    #[test]
+    fn time_scale_past_simtime_is_a_typed_error() {
+        let build = |time_scale| {
+            let params = CostParams {
+                time_scale,
+                ..CostParams::default()
+            };
+            let profile = WorkloadProfile::from_spec(&TinyMlModel::ResNet18.spec());
+            CostModel::new(Architecture::HhPim.spec(), profile, params)
+        };
+        // 1e300 would overflow `cluster_time`, f64::MAX would panic in
+        // `from_ns_f64`, and a subnormal scale has no finite reciprocal.
+        for time_scale in [1e300, f64::MAX, 5e-324] {
+            let field = match build(time_scale) {
+                Err(CostModelError::InvalidParameter { field, .. }) => field,
+                other => panic!("{time_scale:e}: {other:?}"),
+            };
+            assert_eq!(field, "time_scale");
+        }
+        // Ten times the calibrated default still builds the largest model.
+        assert!(build(100.0).is_ok());
     }
 }

@@ -158,8 +158,9 @@ impl Processor {
     ///
     /// Fails if the model's weights do not fit the architecture, a
     /// calibration or optimizer parameter is outside its domain
-    /// ([`CostModelError::InvalidParameter`]: `time_scale` must be
-    /// finite and positive, `max_tasks_per_slice` at least 1,
+    /// ([`CostModelError::InvalidParameter`]: `time_scale` must be a
+    /// positive normal float within the bound [`CostModel::new`]
+    /// states, `max_tasks_per_slice` at least 1,
     /// `retention_factor` finite and non-negative), or the policy
     /// rejects its configuration (e.g. an invalid pinned placement).
     pub fn with_policy_in(
