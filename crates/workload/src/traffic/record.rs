@@ -34,8 +34,9 @@ pub struct RecordedArrival {
 }
 
 /// Why a piece of the traffic subsystem could not be built: a
-/// recorded trace that could not be built, saved or loaded, or a
-/// [`Pacer`](super::Pacer) whose interval cannot be scheduled.
+/// recorded trace that could not be built, saved or loaded, a
+/// [`Pacer`](super::Pacer) whose interval cannot be scheduled, or a
+/// replay warp that cannot be applied.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum TrafficError {
@@ -76,6 +77,12 @@ pub enum TrafficError {
         /// The requested interval in seconds (`1 / rate` for a rate).
         interval_secs: f64,
     },
+    /// A replay's warp factor is not finite and positive, or was set
+    /// after the replay yielded a load.
+    InvalidWarp {
+        /// The requested warp factor.
+        factor: f64,
+    },
 }
 
 impl fmt::Display for TrafficError {
@@ -99,6 +106,11 @@ impl fmt::Display for TrafficError {
                 "pacing interval {interval_secs} s cannot be scheduled \
                  (the rate must be finite and positive, the interval non-zero \
                  and at most Duration::MAX / u32::MAX)"
+            ),
+            TrafficError::InvalidWarp { factor } => write!(
+                f,
+                "warp factor {factor} cannot be applied (it must be finite and positive, \
+                 and set before the replay yields a load)"
             ),
         }
     }
@@ -392,21 +404,16 @@ impl ReplayTraffic {
     /// Sets the time-warp factor: `factor > 1` compresses (replays
     /// faster), `factor < 1` dilates (replays slower).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `factor` is finite and positive, or if the
-    /// replay already started.
-    pub fn warp(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "warp factor {factor} must be finite and positive"
-        );
-        assert!(
-            self.cursor == 0 && self.next_slice == 0,
-            "set the warp before pulling loads"
-        );
+    /// [`TrafficError::InvalidWarp`] unless `factor` is finite and
+    /// positive and the replay has not yielded a load yet.
+    pub fn warp(mut self, factor: f64) -> Result<Self, TrafficError> {
+        if !(factor.is_finite() && factor > 0.0) || self.next_slice > 0 {
+            return Err(TrafficError::InvalidWarp { factor });
+        }
         self.warp = factor;
-        self
+        Ok(self)
     }
 
     fn warped_time(&self, index: usize) -> f64 {
@@ -639,7 +646,7 @@ mod tests {
         )
         .unwrap();
         // Warp 0.5 = half speed: arrival k lands in slice 2k+1.
-        let loads = ReplayTraffic::new(trace).warp(0.5).to_loads();
+        let loads = ReplayTraffic::new(trace).warp(0.5).unwrap().to_loads();
         assert_eq!(loads, vec![0.0, 0.3, 0.0, 0.6, 0.0, 0.9]);
     }
 
@@ -653,7 +660,7 @@ mod tests {
             .collect();
         let total: f64 = arrivals.iter().map(|a| a.load).sum();
         let trace = RecordedTrace::new("compress", arrivals).unwrap();
-        let loads = ReplayTraffic::new(trace).warp(4.0).to_loads();
+        let loads = ReplayTraffic::new(trace).warp(4.0).unwrap().to_loads();
         assert!((loads.iter().sum::<f64>() - total).abs() < 1e-9);
         assert!(loads.iter().all(|&l| (0.0..=1.0).contains(&l)));
         // 4× compression of a ~0.39-load/slice feed saturates slices.
@@ -678,9 +685,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finite and positive")]
     fn zero_warp_rejected() {
-        let trace = RecordedTrace::new("x", vec![]).unwrap();
-        let _ = ReplayTraffic::new(trace).warp(0.0);
+        let mut replay = ReplayTraffic::new(sample_trace());
+        assert!(matches!(
+            replay.clone().warp(0.0),
+            Err(TrafficError::InvalidWarp { factor }) if factor == 0.0
+        ));
+        // So is a warp set after the replay yielded a load.
+        replay.next_load();
+        assert!(matches!(
+            replay.warp(2.0),
+            Err(TrafficError::InvalidWarp { factor }) if factor == 2.0
+        ));
     }
 }

@@ -138,7 +138,10 @@ fn record_replay_round_trip_with_time_warp() {
 
     // Warp 0.5 (dilation): every non-idle slice's load is preserved,
     // in order, with idle gaps between them.
-    let dilated = ReplayTraffic::new(trace.clone()).warp(0.5).to_loads();
+    let dilated = ReplayTraffic::new(trace.clone())
+        .warp(0.5)
+        .unwrap()
+        .to_loads();
     let originals: Vec<f64> = identity.iter().copied().filter(|&l| l > 0.0).collect();
     let survivors: Vec<f64> = dilated.iter().copied().filter(|&l| l > 0.0).collect();
     assert_eq!(
@@ -151,7 +154,7 @@ fn record_replay_round_trip_with_time_warp() {
     );
 
     // Warp 2.0 (compression): total load is conserved.
-    let compressed = ReplayTraffic::new(trace).warp(2.0).to_loads();
+    let compressed = ReplayTraffic::new(trace).warp(2.0).unwrap().to_loads();
     let total: f64 = identity.iter().sum();
     assert!(
         (compressed.iter().sum::<f64>() - total).abs() < 1e-9,
