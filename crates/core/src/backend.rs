@@ -262,6 +262,12 @@ pub enum BackendError {
         /// The offending placement.
         placement: Placement,
     },
+    /// The stream's slice would end past the last [`SimTime`] (or its
+    /// total task time past [`SimDuration::MAX`]).
+    TimeOverflow {
+        /// Index of the slice that could not run.
+        slice: usize,
+    },
 }
 
 impl fmt::Display for BackendError {
@@ -275,6 +281,9 @@ impl fmt::Display for BackendError {
             }
             BackendError::InvalidPlacement { placement } => {
                 write!(f, "placement {placement} is invalid for this architecture")
+            }
+            BackendError::TimeOverflow { slice } => {
+                write!(f, "slice {slice} would end past the last SimTime")
             }
         }
     }
@@ -460,7 +469,7 @@ impl ExecutionBackend for AnalyticBackend {
             self.run = Some(self.processor.begin_run());
         }
         let run = self.run.as_mut().expect("stream opened above");
-        Ok(self.processor.step_run(run, n_tasks))
+        self.processor.step_run(run, n_tasks)
     }
 
     fn finish_stream(&mut self) -> Result<ExecutionReport, BackendError> {
@@ -1141,19 +1150,27 @@ impl CycleBackend {
         run: &mut CycleRun,
         n_tasks: u32,
     ) -> Result<SliceOutcome, BackendError> {
+        // The same instant the former event loop scheduled this slice
+        // at: nominal starts on the native timeline, back-to-back. The
+        // slice's end on both timelines is checked before anything runs.
+        self.processor.runtime().slice_end(run.slice)?;
+        let slice_end = run
+            .native_slice
+            .checked_mul(run.slice as u64 + 1)
+            .and_then(|t| run.start_now.checked_add(t))
+            .ok_or(BackendError::TimeOverflow { slice: run.slice })?;
         if !run.booted {
             self.apply_placement_free(self.placement_for(n_tasks))?;
             run.booted = true;
         }
-        // The same instant the former event loop scheduled this slice
-        // at: nominal starts on the native timeline, back-to-back.
-        let event_now = run.start_now + run.native_slice * run.slice as u64;
+        let event_now = slice_end - run.native_slice;
         let (record, migration) = self.do_slice(run, event_now, run.slice, n_tasks)?;
+        let busy = record.task_time.saturating_mul(n_tasks.max(1) as u64);
         let idle = self
             .processor
             .runtime()
             .slice_duration
-            .saturating_sub(record.movement_time + record.task_time * n_tasks.max(1) as u64);
+            .saturating_sub(busy.saturating_add(record.movement_time));
         run.slice += 1;
         Ok(SliceOutcome {
             record,
@@ -1286,7 +1303,49 @@ fn unify_machine_cat(cat: hhpim_pim::EnergyCat) -> EnergyCat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{default_policy, CostParams, OptimizerConfig, PlacementStore};
     use hhpim_workload::{Scenario, ScenarioParams};
+
+    /// Both backends stop with a typed error at the first slice that
+    /// would end past the last `SimTime`, on the calibrated timeline
+    /// or on the machine's native one.
+    #[test]
+    fn streams_past_the_last_simtime_are_typed_errors() {
+        let (arch, model) = (Architecture::HhPim, TinyMlModel::MobileNetV2);
+        // A time scale at which about 2.5 slices fit.
+        let t0 = RuntimeConfig::reference(model, CostParams::default()).unwrap();
+        let params = CostParams {
+            time_scale: 9.14 * (u64::MAX as f64 / 2.5) / t0.slice_duration.as_ps() as f64,
+            ..CostParams::default()
+        };
+        let (opt, store) = (OptimizerConfig::default(), PlacementStore::new());
+        let p = Processor::with_policy_in(arch, model, params, opt, default_policy(arch), &store)
+            .unwrap();
+        let t = p.runtime().slice_duration;
+        let fit = (u64::MAX / t.as_ps()) as usize;
+        assert_eq!(fit, 2);
+        // One task per slice, so only the slices' ends overflow.
+        let trace = |slices| LoadTrace::replay(vec![0.1; slices]).unwrap();
+        let overflow = BackendError::TimeOverflow { slice: fit };
+        let report = p.run_trace(&trace(fit)).unwrap();
+        assert_eq!(report.elapsed, SimTime::ZERO + t * fit as u64);
+        assert_eq!(p.run_trace(&trace(fit + 1)).unwrap_err(), overflow);
+        let mut analytic = AnalyticBackend::from_processor(p.clone());
+        assert_eq!(analytic.execute(&trace(fit + 1)).unwrap_err(), overflow);
+        // A slice of 1,000 tasks overflows the run's task time instead.
+        analytic.begin_stream().unwrap();
+        let err = analytic.step_slice(1_000).unwrap_err();
+        assert_eq!(err, BackendError::TimeOverflow { slice: 0 });
+        let mut cycle = CycleBackend::from_processor(p, model).unwrap();
+        assert_eq!(cycle.execute(&trace(fit + 1)).unwrap_err(), overflow);
+        // A machine clock one nanosecond short of the end.
+        let mut cycle = CycleBackend::new(arch, model).unwrap();
+        cycle
+            .machine
+            .idle_until(SimTime::MAX - SimDuration::from_ns(1));
+        let err = cycle.step_slice(1).unwrap_err();
+        assert_eq!(err, BackendError::TimeOverflow { slice: 0 });
+    }
 
     fn small(scenario: Scenario) -> LoadTrace {
         LoadTrace::generate(

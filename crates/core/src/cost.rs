@@ -103,6 +103,10 @@ pub enum CostModelError {
         /// The domain the field must lie in.
         requirement: &'static str,
     },
+    /// The slice length `1.08 × max_tasks_per_slice × peak task time`
+    /// (the peak scales with `time_scale`) would not fit in a
+    /// [`SimDuration`]; lower either parameter.
+    SliceOverflow,
 }
 
 impl core::fmt::Display for CostModelError {
@@ -121,20 +125,22 @@ impl core::fmt::Display for CostModelError {
             CostModelError::InvalidParameter { field, requirement } => {
                 write!(f, "`{field}` must be {requirement}")
             }
+            CostModelError::SliceOverflow => write!(
+                f,
+                "a slice of `max_tasks_per_slice` peak-load tasks at this `time_scale` \
+                 would outlast `SimDuration::MAX`"
+            ),
         }
     }
 }
 
 impl std::error::Error for CostModelError {}
 
-/// Slices of the slowest placement that must fit in `SimTime`.
-const RUN_SLICES: u64 = 1 << 16;
-
 /// The rejection of an out-of-domain `time_scale`.
 const TIME_SCALE_DOMAIN: CostModelError = CostModelError::InvalidParameter {
     field: "time_scale",
-    requirement: "positive, normal, and small enough that 2^16 slices of the \
-                  slowest placement end within `SimTime`",
+    requirement: "positive, normal, and small enough that one task of the \
+                  slowest placement lasts at most `SimDuration::MAX`",
 };
 
 /// The resolved cost model (see module docs).
@@ -158,10 +164,10 @@ impl CostModel {
     /// Fails if the weights cannot fit in the architecture's placeable
     /// memory, the group size or `max_tasks_per_slice` is zero,
     /// `time_scale` is not a positive normal float or is so large that
-    /// `2^16` slices of the slowest placement (every group in one
-    /// space, `max_tasks_per_slice` tasks each) would end past the last
-    /// `SimTime`, or `act_reserve_per_module` times a cluster's module
-    /// count overflows `usize`.
+    /// one task of the slowest placement (every group in one space)
+    /// would last longer than [`SimDuration::MAX`], or
+    /// `act_reserve_per_module` times a cluster's module count
+    /// overflows `usize`.
     pub fn new(
         arch: ArchSpec,
         profile: WorkloadProfile,
@@ -224,16 +230,14 @@ impl CostModel {
             let macs_per_group_task = reuse * params.group_size as f64;
             let ns = macs_per_group_task * op_ns / modules as f64 * params.time_scale;
             // Check before `from_ns_f64`, which panics on an infinite
-            // product and saturates a huge one, then check the slowest
-            // slices the runtime can multiply it into.
+            // product and saturates a huge one, then check the largest
+            // product `cluster_time` forms: every group in this space.
             if !(0.0..u64::MAX as f64).contains(&(ns * 1e3)) {
                 return Err(TIME_SCALE_DOMAIN);
             }
             time_per_group[idx] = SimDuration::from_ns_f64(ns);
             time_per_group[idx]
                 .checked_mul(k_groups as u64)
-                .and_then(|t| t.checked_mul(u64::from(params.max_tasks_per_slice)))
-                .and_then(|t| t.checked_mul(RUN_SLICES))
                 .ok_or(TIME_SCALE_DOMAIN)?;
             // Dynamic energy scales with time_scale too: the calibrated
             // (FPGA-era) access occupies `time_scale×` the ASIC latency
@@ -650,15 +654,36 @@ mod tests {
             CostModel::new(Architecture::HhPim.spec(), profile, params)
         };
         // 1e300 would overflow `cluster_time`, f64::MAX would panic in
-        // `from_ns_f64`, and a subnormal scale has no finite reciprocal.
-        for time_scale in [1e300, f64::MAX, 5e-324] {
+        // `from_ns_f64`, a subnormal scale has no finite reciprocal, and
+        // at 2.5e8 one task with every group in LP-MRAM outlasts
+        // `SimDuration::MAX` (at 2e8 it does not).
+        for time_scale in [1e300, f64::MAX, 5e-324, 2.5e8] {
             let field = match build(time_scale) {
                 Err(CostModelError::InvalidParameter { field, .. }) => field,
                 other => panic!("{time_scale:e}: {other:?}"),
             };
             assert_eq!(field, "time_scale");
         }
-        // Ten times the calibrated default still builds the largest model.
-        assert!(build(100.0).is_ok());
+        assert!(build(2e8).is_ok());
+    }
+
+    /// The slice bound is on `T = 1.08 × max_tasks_per_slice × peak`:
+    /// 1,000-task slices build at the default scale, ten tasks at 2e8
+    /// or 2^32 − 1 at the default scale do not.
+    #[test]
+    fn slice_past_simduration_is_a_typed_error() {
+        let reference = |time_scale, max_tasks_per_slice| {
+            let params = CostParams {
+                time_scale,
+                max_tasks_per_slice,
+                ..CostParams::default()
+            };
+            crate::RuntimeConfig::reference(TinyMlModel::ResNet18, params)
+        };
+        assert!(reference(9.14, 1_000).is_ok());
+        for (time_scale, max_tasks) in [(2e8, 10), (9.14, u32::MAX)] {
+            let err = reference(time_scale, max_tasks).unwrap_err();
+            assert_eq!(err, CostModelError::SliceOverflow, "{time_scale:e}");
+        }
     }
 }

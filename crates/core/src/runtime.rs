@@ -10,7 +10,8 @@
 
 use crate::arch::{ArchSpec, Architecture, GatingPolicy};
 use crate::backend::{
-    BackendKind, EnergyCat, ExecutionReport, LayerRecord, MigrationRecord, SliceRecord,
+    BackendError, BackendKind, EnergyCat, ExecutionReport, LayerRecord, MigrationRecord,
+    SliceRecord,
 };
 use crate::cost::{CostModel, CostModelError, CostParams, WorkloadProfile};
 use crate::dp::OptimizerConfig;
@@ -72,12 +73,19 @@ impl RuntimeConfig {
     ///
     /// # Errors
     ///
-    /// Fails if the model's weights do not fit HH-PIM.
+    /// Fails if the model's weights do not fit HH-PIM, `params` is
+    /// outside the cost model's domain, or `T` would not fit in a
+    /// [`SimDuration`] ([`CostModelError::SliceOverflow`]).
     pub fn reference(model: TinyMlModel, params: CostParams) -> Result<Self, CostModelError> {
         let profile = WorkloadProfile::from_spec(&model.spec());
         let reference = CostModel::new(Architecture::HhPim.spec(), profile, params)?;
-        let slice_duration =
-            (reference.peak_task_time() * params.max_tasks_per_slice as u64).mul_f64(1.08);
+        let slice_duration = reference
+            .peak_task_time()
+            .checked_mul(u64::from(params.max_tasks_per_slice))
+            .map(|t| t.mul_f64(1.08))
+            // `mul_f64` saturates: a slice of exactly `MAX` overflowed.
+            .filter(|&t| t < SimDuration::MAX)
+            .ok_or(CostModelError::SliceOverflow)?;
         Ok(RuntimeConfig {
             slice_duration,
             max_tasks: params.max_tasks_per_slice,
@@ -91,6 +99,17 @@ impl RuntimeConfig {
     /// sized against.
     pub fn usable_slice(&self) -> SimDuration {
         self.slice_duration.mul_f64(1.0 - self.movement_margin)
+    }
+
+    /// Where stream slice `slice` ends, counted from the stream's start.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError::TimeOverflow`] past the last [`SimTime`].
+    pub(crate) fn slice_end(&self, slice: usize) -> Result<SimDuration, BackendError> {
+        self.slice_duration
+            .checked_mul(slice as u64 + 1)
+            .ok_or(BackendError::TimeOverflow { slice })
     }
 }
 
@@ -107,8 +126,8 @@ impl RuntimeConfig {
 /// let hh = Processor::new(Architecture::HhPim, TinyMlModel::EfficientNetB0).unwrap();
 /// let base = Processor::new(Architecture::Baseline, TinyMlModel::EfficientNetB0).unwrap();
 /// let trace = LoadTrace::generate(Scenario::LowConstant, ScenarioParams::default());
-/// let e_hh = hh.run_trace(&trace).total_energy();
-/// let e_base = base.run_trace(&trace).total_energy();
+/// let e_hh = hh.run_trace(&trace).unwrap().total_energy();
+/// let e_base = base.run_trace(&trace).unwrap().total_energy();
 /// assert!(e_hh < e_base, "HH-PIM saves energy at low load");
 /// ```
 #[derive(Debug, Clone)]
@@ -161,8 +180,10 @@ impl Processor {
     /// ([`CostModelError::InvalidParameter`]: `time_scale` must be a
     /// positive normal float within the bound [`CostModel::new`]
     /// states, `max_tasks_per_slice` at least 1,
-    /// `retention_factor` finite and non-negative), or the policy
-    /// rejects its configuration (e.g. an invalid pinned placement).
+    /// `retention_factor` finite and non-negative), the slice would
+    /// not fit in a [`SimDuration`] ([`CostModelError::SliceOverflow`]),
+    /// or the policy rejects its configuration (e.g. an invalid pinned
+    /// placement).
     pub fn with_policy_in(
         arch: Architecture,
         model: TinyMlModel,
@@ -315,9 +336,13 @@ impl Processor {
         }
         add(EnergyCat::Movement, movement_energy);
 
-        // Busy time per cluster, capped at the slice.
+        // Busy time per cluster, capped at the slice (so saturating
+        // on the way there is exact).
         let busy = |c: ClusterClass| -> SimDuration {
-            let b = self.cost.cluster_time(&placement, c) * n_tasks as u64 + movement_time;
+            let work = self.cost.cluster_time(&placement, c);
+            let b = work
+                .saturating_mul(n_tasks as u64)
+                .saturating_add(movement_time);
             b.min(t)
         };
 
@@ -401,7 +426,15 @@ impl Processor {
     /// re-deriving the cost model — bit-identically, because the cached
     /// values came from the very same computation and the ledger
     /// receives the same additions in the same order.
-    pub(crate) fn step_run(&self, run: &mut AnalyticRun, n_tasks: u32) -> SliceOutcome {
+    ///
+    /// Fails with [`BackendError::TimeOverflow`], charging nothing, if
+    /// the slice would end past the last [`SimTime`] or the run's
+    /// total task time would overflow [`SimDuration`].
+    pub(crate) fn step_run(
+        &self,
+        run: &mut AnalyticRun,
+        n_tasks: u32,
+    ) -> Result<SliceOutcome, BackendError> {
         let placement = {
             let idx = n_tasks as usize;
             if idx >= run.placements.len() {
@@ -427,10 +460,11 @@ impl Processor {
                 let (mt, me, moved) = self.movement_cost(&from, &placement);
                 let mut adds = Vec::new();
                 let record = self.evaluate_slice(placement, n_tasks, mt, me, moved, &mut adds);
+                let busy = record.task_time.saturating_mul(n_tasks as u64);
                 let idle = self
                     .runtime
                     .slice_duration
-                    .saturating_sub(mt + record.task_time * n_tasks as u64);
+                    .saturating_sub(busy.saturating_add(mt));
                 let migration = (moved > 0).then_some(MigrationRecord {
                     slice: 0,
                     from,
@@ -454,6 +488,14 @@ impl Processor {
                 run.steps.len() - 1
             }
         };
+        // The slice's end and the run's task time, checked before
+        // anything is charged.
+        self.runtime.slice_end(run.slice)?;
+        let task_time = run.steps[memo_idx].record.task_time;
+        let task_seconds = task_time
+            .checked_mul(n_tasks as u64)
+            .and_then(|t| run.task_seconds.checked_add(t))
+            .ok_or(BackendError::TimeOverflow { slice: run.slice })?;
         // Replay the memo's energy additions. The slot fast path skips
         // the per-add category search once every category exists in the
         // ledger; `add_at` performs the identical `+=`, so the fold is
@@ -488,17 +530,17 @@ impl Processor {
         if let Some(m) = &migration {
             run.migrations.push(m.clone());
         }
-        run.task_seconds += record.task_time * n_tasks as u64;
+        run.task_seconds = task_seconds;
         run.dynamic += memo.dynamic_per_task * n_tasks as u64;
         run.total_tasks += n_tasks as u64;
         run.records.push(record.clone());
         run.prev = memo.record.placement;
         run.slice += 1;
-        SliceOutcome {
+        Ok(SliceOutcome {
             record,
             migration,
             idle: memo.idle,
-        }
+        })
     }
 
     /// Closes a streaming run into the unified [`ExecutionReport`].
@@ -519,6 +561,7 @@ impl Processor {
         ExecutionReport {
             backend: BackendKind::Analytic,
             arch: self.arch.arch,
+            // Checked slice by slice in `step_run`.
             elapsed: SimTime::ZERO + self.runtime.slice_duration * run.records.len() as u64,
             records: run.records,
             layers,
@@ -539,12 +582,17 @@ impl Processor {
     /// [`LayerRecord`]s apportion the per-task latency and dynamic
     /// energy across the model's PIM layers by MAC share, so they
     /// compare layer-by-layer with the cycle backend's measured records.
-    pub fn run_trace(&self, trace: &LoadTrace) -> ExecutionReport {
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError::TimeOverflow`] if the trace would run past the
+    /// last [`SimTime`].
+    pub fn run_trace(&self, trace: &LoadTrace) -> Result<ExecutionReport, BackendError> {
         let mut run = self.begin_run();
         for &n in &trace.task_counts(self.runtime.max_tasks) {
-            self.step_run(&mut run, n);
+            self.step_run(&mut run, n)?;
         }
-        self.finish_run(run)
+        Ok(self.finish_run(run))
     }
 }
 
@@ -597,7 +645,7 @@ mod tests {
             Architecture::Hybrid,
         ] {
             let p = proc(arch);
-            let report = p.run_trace(&trace(Scenario::Random));
+            let report = p.run_trace(&trace(Scenario::Random)).unwrap();
             assert!(report.records.iter().all(|r| r.groups_moved == 0), "{arch}");
             assert_eq!(report.energy.get(EnergyCat::Movement), Energy::ZERO);
         }
@@ -606,7 +654,7 @@ mod tests {
     #[test]
     fn hh_moves_on_load_changes() {
         let p = proc(Architecture::HhPim);
-        let report = p.run_trace(&trace(Scenario::PeriodicSpike));
+        let report = p.run_trace(&trace(Scenario::PeriodicSpike)).unwrap();
         let moved: usize = report.records.iter().map(|r| r.groups_moved).sum();
         assert!(moved > 0, "spiky load must trigger re-placement");
         assert!(report.energy.get(EnergyCat::Movement).as_pj() > 0.0);
@@ -616,7 +664,7 @@ mod tests {
     fn deadlines_met_across_scenarios() {
         for scenario in Scenario::ALL {
             let p = proc(Architecture::HhPim);
-            let report = p.run_trace(&trace(scenario));
+            let report = p.run_trace(&trace(scenario)).unwrap();
             assert_eq!(report.deadline_misses, 0, "{scenario}");
         }
     }
@@ -628,13 +676,13 @@ mod tests {
         let hh = proc(Architecture::HhPim);
         for scenario in Scenario::ALL {
             let tr = trace(scenario);
-            let e_hh = hh.run_trace(&tr).total_energy();
+            let e_hh = hh.run_trace(&tr).unwrap().total_energy();
             for other in [
                 Architecture::Baseline,
                 Architecture::Heterogeneous,
                 Architecture::Hybrid,
             ] {
-                let e = proc(other).run_trace(&tr).total_energy();
+                let e = proc(other).run_trace(&tr).unwrap().total_energy();
                 assert!(e_hh < e, "{scenario}: HH {} not below {other} {}", e_hh, e);
             }
         }
@@ -646,8 +694,8 @@ mod tests {
         let base = proc(Architecture::Baseline);
         let saving = |s: Scenario| {
             let tr = trace(s);
-            let e_hh = hh.run_trace(&tr).total_energy();
-            let e_b = base.run_trace(&tr).total_energy();
+            let e_hh = hh.run_trace(&tr).unwrap().total_energy();
+            let e_b = base.run_trace(&tr).unwrap().total_energy();
             1.0 - e_hh / e_b
         };
         let low = saving(Scenario::LowConstant);
@@ -668,8 +716,8 @@ mod tests {
         let hh = proc(Architecture::HhPim);
         let het = proc(Architecture::Heterogeneous);
         let tr = trace(Scenario::HighConstant);
-        let e_hh = hh.run_trace(&tr).total_energy();
-        let e_het = het.run_trace(&tr).total_energy();
+        let e_hh = hh.run_trace(&tr).unwrap().total_energy();
+        let e_het = het.run_trace(&tr).unwrap().total_energy();
         let saving = 1.0 - e_hh / e_het;
         assert!(
             saving < 0.25,
@@ -702,7 +750,7 @@ mod tests {
     #[test]
     fn ledger_records_expected_categories() {
         let p = proc(Architecture::HhPim);
-        let report = p.run_trace(&trace(Scenario::HighConstant));
+        let report = p.run_trace(&trace(Scenario::HighConstant)).unwrap();
         use hhpim_mem::MemKind::Sram;
         use ClusterClass::HighPerformance;
         assert!(
@@ -721,7 +769,9 @@ mod tests {
                 > 0.0
         );
         // Baseline never gates: full static including unused spaces it has.
-        let b = proc(Architecture::Baseline).run_trace(&trace(Scenario::LowConstant));
+        let b = proc(Architecture::Baseline)
+            .run_trace(&trace(Scenario::LowConstant))
+            .unwrap();
         assert!(
             b.energy
                 .get(EnergyCat::MemStatic(HighPerformance, Sram))

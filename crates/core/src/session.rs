@@ -785,7 +785,8 @@ impl Session {
     ///
     /// [`SessionError::Cost`] when a model does not fit an
     /// architecture, [`SessionError::Trace`] on invalid scenario
-    /// parameters.
+    /// parameters, [`SessionError::Backend`] when a trace would run
+    /// past the last `SimTime`.
     pub fn sweep(
         &self,
         scenarios: &[Scenario],
@@ -905,16 +906,16 @@ impl Session {
                 .expect("all architectures built")
                 .1
                 .run_trace(&trace)
-                .total_energy()
+                .map(|r| r.total_energy())
         };
-        let e_hh = energy(Architecture::HhPim);
+        let e_hh = energy(Architecture::HhPim)?;
         let pct = |e_other: hhpim_mem::Energy| (1.0 - e_hh / e_other) * 100.0;
         Ok(SavingsCell {
             scenario,
             model,
-            vs_baseline: pct(energy(Architecture::Baseline)),
-            vs_heterogeneous: pct(energy(Architecture::Heterogeneous)),
-            vs_hybrid: pct(energy(Architecture::Hybrid)),
+            vs_baseline: pct(energy(Architecture::Baseline)?),
+            vs_heterogeneous: pct(energy(Architecture::Heterogeneous)?),
+            vs_hybrid: pct(energy(Architecture::Hybrid)?),
         })
     }
 

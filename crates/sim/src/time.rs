@@ -164,6 +164,23 @@ impl SimDuration {
         self.0.checked_mul(n).map(SimDuration)
     }
 
+    /// Checked addition; `None` on overflow.
+    #[inline]
+    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
+        self.0.checked_add(rhs.0).map(SimDuration)
+    }
+
+    /// Multiplication by an integer count, saturating at
+    /// [`SimDuration::MAX`].
+    pub fn saturating_mul(self, n: u64) -> SimDuration {
+        SimDuration(self.0.saturating_mul(n))
+    }
+
+    /// Addition, saturating at [`SimDuration::MAX`].
+    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(rhs.0))
+    }
+
     /// Scales the duration by a non-negative factor, rounding to the
     /// nearest picosecond.
     ///

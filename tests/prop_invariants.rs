@@ -79,7 +79,7 @@ proptest! {
             scenario,
             ScenarioParams { slices: 8, seed, ..ScenarioParams::default() },
         );
-        let report = proc.run_trace(&trace);
+        let report = proc.run_trace(&trace).unwrap();
         let slice_sum: f64 = report.records.iter().map(|r| r.energy.as_pj()).sum();
         let ledger_total = report.energy.total().as_pj();
         prop_assert!(

@@ -127,8 +127,8 @@ fn gating_ablation_baseline_policy_costs_energy() {
     );
     let gated = Processor::new(Architecture::HhPim, TinyMlModel::EfficientNetB0).unwrap();
     let baseline = Processor::new(Architecture::Baseline, TinyMlModel::EfficientNetB0).unwrap();
-    let e_gated = gated.run_trace(&trace).total_energy();
-    let e_base = baseline.run_trace(&trace).total_energy();
+    let e_gated = gated.run_trace(&trace).unwrap().total_energy();
+    let e_base = baseline.run_trace(&trace).unwrap().total_energy();
     assert!(
         e_gated.as_mj() < e_base.as_mj() * 0.5,
         "gating should halve low-load energy"
@@ -171,8 +171,8 @@ fn dp_off_ablation_degrades_low_load_savings() {
         amortize_static: false,
         ..OptimizerConfig::default()
     });
-    let e_full = full.run_trace(&trace).total_energy();
-    let e_greedy = greedy.run_trace(&trace).total_energy();
+    let e_full = full.run_trace(&trace).unwrap().total_energy();
+    let e_greedy = greedy.run_trace(&trace).unwrap().total_energy();
     assert!(
         e_full.as_mj() < e_greedy.as_mj(),
         "leakage-aware placement must win at low load: {} vs {}",
