@@ -856,6 +856,10 @@ fn number_map(r: &mut Reader) -> Result<BTreeMap<String, f64>, ParseError> {
 }
 
 #[cfg(test)]
+#[path = "../../../../tests/support/mutations.rs"]
+mod mutations;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -906,51 +910,14 @@ mod tests {
         assert!(parse_gate_file(&text).is_err());
     }
 
-    /// Every prefix of the baseline, every substitution of one byte by
-    /// one from a fixed set of JSON-significant bytes, and the 2,000
-    /// seeded multi-byte mutants `tests/artifact.rs` draws (two
-    /// substitutions, or one byte range of up to 2 KiB deleted or
-    /// duplicated) parse or fail with an error; none panics.
+    /// Every mutant `tests/support/mutations.rs` draws from the
+    /// baseline (prefixes, one-byte substitutions, and 2,000 seeded
+    /// multi-byte mutants) parses or fails with an error; none panics.
     #[test]
     fn mutated_baselines_never_panic() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        const SUBSTITUTES: &[u8] = b"-09.e,]}[\" ";
-        let parse = |bytes: &[u8]| parse_gate_file(std::str::from_utf8(bytes).unwrap());
-        for end in 0..BASELINE.len() {
-            let _ = parse_gate_file(&BASELINE[..end]);
-        }
-        let original = BASELINE.as_bytes();
-        let mut bytes = original.to_vec();
-        for i in 0..bytes.len() {
-            for &b in SUBSTITUTES {
-                bytes[i] = b;
-                let _ = parse(&bytes);
-            }
-            bytes[i] = original[i];
-        }
-        let len = original.len();
-        let mut rng = StdRng::seed_from_u64(0x6d75_7461_6e74);
-        let substitute = |rng: &mut StdRng| SUBSTITUTES[rng.gen_range(0..SUBSTITUTES.len())];
-        for _ in 0..2_000 {
-            let mut bytes = original.to_vec();
-            let kind = rng.gen_range(0..4);
-            if kind < 2 {
-                let i = rng.gen_range(0..len);
-                let j = (i + rng.gen_range(1..len)) % len;
-                bytes[i] = substitute(&mut rng);
-                bytes[j] = substitute(&mut rng);
-            } else {
-                let start = rng.gen_range(0..len);
-                let longest = (1usize << rng.gen_range(0..=11u32)).min(len - start);
-                let end = start + rng.gen_range(1..=longest);
-                if kind == 2 {
-                    bytes.drain(start..end);
-                } else {
-                    bytes.splice(end..end, original[start..end].iter().copied());
-                }
-            }
-            let _ = parse(&bytes);
-        }
+        crate::mutations::for_each_mutation(BASELINE, |mutant| {
+            let _ = parse_gate_file(mutant);
+        });
     }
 
     #[test]
